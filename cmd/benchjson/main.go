@@ -10,7 +10,10 @@
 //
 // Only standard benchmark result lines and the context header (goos/goarch/
 // pkg/cpu) are interpreted; everything else passes through to stderr so
-// failures stay visible in pipelines.
+// failures stay visible in pipelines. The report header also records the
+// host's CPU count (nproc) and the GOMAXPROCS the benchmarks ran at, read
+// from the -N suffix of the result lines (absent means 1), so a recorded
+// number always travels with the parallelism it was taken at.
 //
 // -compare diffs two reports and exits 1 when any benchmark present in both
 // regressed beyond tolerance — the CI bench-regression gate
@@ -38,14 +41,11 @@
 //
 //   - -informational REGEX: matching benchmark names are diffed and printed
 //     but never fail the gate.
-//   - Domain-sharded legs (a D<n> suffix before the /sub-bench or
-//     GOMAXPROCS marker, e.g. BenchmarkCompareHDPATD4) and deflection legs
-//     (a Deflect suffix, e.g. BenchmarkCompareHDPATDeflect) are
-//     automatically informational when the new run executed on a single CPU
-//     (GOMAXPROCS 1). On one CPU those legs measure pure sharding-protocol
-//     overhead, not the speedup they exist to track, so their wall time
-//     gates CI misleadingly (see docs/performance.md, "Domain
-//     decomposition").
+//   - Deflection-routed legs (a Deflect suffix, e.g.
+//     BenchmarkCompareHDPATDeflect) are automatically informational when
+//     the new run executed on a single CPU (GOMAXPROCS 1): their
+//     contention-dependent misroute probing moves with scheduling noise far
+//     more than the XY hot path, so their wall time gates CI misleadingly.
 package main
 
 import (
@@ -53,8 +53,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -80,6 +82,8 @@ type Report struct {
 	Goarch     string      `json:"goarch,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	NProc      int         `json:"nproc,omitempty"`      // logical CPUs on the host
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"` // from the result lines' -N suffix
 	Note       string      `json:"note,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -112,28 +116,21 @@ func main() {
 	convert()
 }
 
-// shardedLeg matches domain-sharded benchmark legs: a D<n> suffix on the
-// top-level benchmark name (before any /sub-benchmark), the naming
-// convention bench_hot_test.go uses for WithDomains variants.
-var shardedLeg = regexp.MustCompile(`^Benchmark[^/]*D[0-9]+(/|$)`)
-
 // deflectLeg matches deflection-routed benchmark legs (a Deflect suffix on
 // the top-level name, e.g. BenchmarkCompareHDPATDeflect): the router's
 // misroute probing is contention-dependent work whose cost moves with
 // scheduling noise far more than the XY hot path, so single-CPU runners
-// diff it without gating, mirroring the D-leg rule.
+// diff it without gating.
 var deflectLeg = regexp.MustCompile(`^Benchmark[^/]*Deflect[^/]*(/|$)`)
 
 // informational reports whether b's regression should be printed but not
 // gated: either its name matches the -informational pattern, or it is a
-// domain-sharded or deflection-routed leg that ran on a single CPU, where
-// the leg measures protocol/probing overhead rather than the speedup or
-// hot-path cost it exists to track.
+// deflection-routed leg that ran on a single CPU.
 func informational(b Benchmark, pat *regexp.Regexp) bool {
 	if pat != nil && pat.MatchString(b.Name) {
 		return true
 	}
-	return b.Procs <= 1 && (shardedLeg.MatchString(b.Name) || deflectLeg.MatchString(b.Name))
+	return b.Procs <= 1 && deflectLeg.MatchString(b.Name)
 }
 
 // gate describes one gated metric: its unit, its slack, and whether an
@@ -249,8 +246,27 @@ func metricIndex(rep Report, unit string) map[string]float64 {
 
 // convert is the original stdin-to-JSON mode.
 func convert() {
-	rep := Report{Note: os.Getenv("BENCHJSON_NOTE")}
-	sc := bufio.NewScanner(os.Stdin)
+	rep, err := parseReport(os.Stdin, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	rep.Note = os.Getenv("BENCHJSON_NOTE")
+	rep.NProc = runtime.NumCPU()
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	fmt.Println(string(out))
+}
+
+// parseReport reads `go test -bench` output into a Report, echoing lines
+// it does not interpret to chatter. GOMAXPROCS is the largest -N suffix
+// among the result lines; go test omits the suffix at GOMAXPROCS 1.
+func parseReport(in io.Reader, chatter io.Writer) (Report, error) {
+	var rep Report
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -266,26 +282,18 @@ func convert() {
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBenchLine(line); ok {
 				rep.Benchmarks = append(rep.Benchmarks, b)
+				rep.GOMAXPROCS = max(rep.GOMAXPROCS, b.Procs, 1)
 				continue
 			}
-			fmt.Fprintln(os.Stderr, line)
+			fmt.Fprintln(chatter, line)
 		default:
 			// PASS/FAIL/ok and test chatter: keep visible, out of the JSON.
 			if line != "" {
-				fmt.Fprintln(os.Stderr, line)
+				fmt.Fprintln(chatter, line)
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Println(string(out))
+	return rep, sc.Err()
 }
 
 // parseBenchLine parses "BenchmarkName-8  3  123 ns/op  45 B/op ..." into a

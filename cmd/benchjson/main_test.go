@@ -1,8 +1,12 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -100,55 +104,26 @@ func TestCompareEventsThroughputGate(t *testing.T) {
 	}
 }
 
-func TestCompareShardedLegInformationalOnSingleCPU(t *testing.T) {
-	// A D4 leg with no GOMAXPROCS suffix (procs omitted = single CPU)
-	// regresses hard; the sweep on 8 procs regresses the same amount.
-	old := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATD4","iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]},
-	  {"name":"BenchmarkCompareHDPAT","procs":8,"iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
-	]}`
-	slowD4 := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATD4","iterations":3,"metrics":[{"value":2000,"unit":"ns/op"}]},
-	  {"name":"BenchmarkCompareHDPAT","procs":8,"iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
-	]}`
-	// Only the sharded leg regressed, and it ran on one CPU: informational.
-	if code := compareReports(writeReport(t, "old.json", old),
-		writeReport(t, "new.json", slowD4), defaultTol()); code != 0 {
-		t.Errorf("single-CPU D4 regression gated: exit %d, want 0", code)
+// A deflection-routed leg that ran on one CPU diffs without gating; the
+// same leg on a multi-CPU runner, and a plain single-CPU leg, still gate.
+func TestCompareDeflectLegInformationalOnSingleCPU(t *testing.T) {
+	cases := []struct {
+		name  string
+		procs int
+		want  int
+	}{
+		{"BenchmarkCompareHDPATDeflect", 0, 0},
+		{"BenchmarkCompareHDPATDeflect", 8, 1},
+		{"BenchmarkCompareHDPAT", 0, 1},
 	}
-	// The deflection leg follows the same rule: single CPU is informational.
-	oldDefl := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATDeflect","iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
-	]}`
-	slowDefl := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATDeflect","iterations":3,"metrics":[{"value":2000,"unit":"ns/op"}]}
-	]}`
-	if code := compareReports(writeReport(t, "oldd.json", oldDefl),
-		writeReport(t, "newd.json", slowDefl), defaultTol()); code != 0 {
-		t.Errorf("single-CPU Deflect regression gated: exit %d, want 0", code)
-	}
-	// The same leg on a multi-CPU runner measures the real sharding speedup
-	// and must gate.
-	oldMP := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATD4","procs":8,"iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
-	]}`
-	slowMP := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATD4","procs":8,"iterations":3,"metrics":[{"value":2000,"unit":"ns/op"}]}
-	]}`
-	if code := compareReports(writeReport(t, "old2.json", oldMP),
-		writeReport(t, "new2.json", slowMP), defaultTol()); code != 1 {
-		t.Errorf("multi-CPU D4 regression not gated: exit %d, want 1", code)
-	}
-	// A non-sharded single-CPU benchmark still gates.
-	oldPlain := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPAT","iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
-	]}`
-	slowPlain := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPAT","iterations":3,"metrics":[{"value":2000,"unit":"ns/op"}]}
-	]}`
-	if code := compareReports(writeReport(t, "old3.json", oldPlain),
-		writeReport(t, "new3.json", slowPlain), defaultTol()); code != 1 {
-		t.Errorf("plain single-CPU regression not gated: exit %d, want 1", code)
+	for i, c := range cases {
+		old := fmt.Sprintf(`{"benchmarks":[{"name":%q,"procs":%d,"iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}]}`, c.name, c.procs)
+		slow := strings.Replace(old, "1000", "2000", 1)
+		code := compareReports(writeReport(t, fmt.Sprintf("old%d.json", i), old),
+			writeReport(t, fmt.Sprintf("new%d.json", i), slow), defaultTol())
+		if code != c.want {
+			t.Errorf("%s procs=%d doubled: exit %d, want %d", c.name, c.procs, code, c.want)
+		}
 	}
 }
 
@@ -178,21 +153,59 @@ func TestCompareInformationalFlag(t *testing.T) {
 	}
 }
 
-func TestShardedLegPattern(t *testing.T) {
-	cases := []struct {
-		b    Benchmark
-		want bool
-	}{
-		{Benchmark{Name: "BenchmarkCompareHDPATD4"}, true},
-		{Benchmark{Name: "BenchmarkCompareHDPAT7x12D4"}, true},
-		{Benchmark{Name: "BenchmarkCompareHDPATD4/sub"}, true},
-		{Benchmark{Name: "BenchmarkCompareHDPATD4", Procs: 8}, false}, // multi-CPU
-		{Benchmark{Name: "BenchmarkCompareHDPAT"}, false},
-		{Benchmark{Name: "BenchmarkBatch3x3/parallel"}, false},
+// The report header carries the host's parallelism: GOMAXPROCS comes from
+// the result lines' -N suffix (absent means 1), and unparsed lines go to
+// the chatter stream, not the JSON.
+func TestParseReportHeader(t *testing.T) {
+	in := `goos: linux
+goarch: amd64
+pkg: hdpat
+cpu: Test CPU @ 2.10GHz
+BenchmarkCompareHDPAT-2   	       3	 300994964 ns/op	   1614339 events/sec
+BenchmarkBatch3x3Serial-2 	       3	  41000000 ns/op
+PASS
+ok  	hdpat	12.3s
+`
+	var chatter strings.Builder
+	rep, err := parseReport(strings.NewReader(in), &chatter)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := informational(c.b, nil); got != c.want {
-			t.Errorf("informational(%q procs=%d) = %v, want %v", c.b.Name, c.b.Procs, got, c.want)
+	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "hdpat" || rep.CPU != "Test CPU @ 2.10GHz" {
+		t.Errorf("context header = %q/%q/%q/%q", rep.Goos, rep.Goarch, rep.Pkg, rep.CPU)
+	}
+	if rep.GOMAXPROCS != 2 {
+		t.Errorf("GOMAXPROCS = %d, want 2", rep.GOMAXPROCS)
+	}
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Name != "BenchmarkCompareHDPAT" || rep.Benchmarks[0].Procs != 2 {
+		t.Errorf("benchmarks = %+v", rep.Benchmarks)
+	}
+	if !strings.Contains(chatter.String(), "PASS") {
+		t.Errorf("chatter %q lost the PASS line", chatter.String())
+	}
+	rep, err = parseReport(strings.NewReader("BenchmarkCompareHDPAT \t 3\t 300 ns/op\n"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GOMAXPROCS != 1 {
+		t.Errorf("no -N suffix: GOMAXPROCS = %d, want 1", rep.GOMAXPROCS)
+	}
+	// The header round-trips through the JSON document.
+	rep.NProc = 2
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.NProc != 2 || back.GOMAXPROCS != 1 {
+		t.Errorf("round trip nproc=%d gomaxprocs=%d, want 2 and 1", back.NProc, back.GOMAXPROCS)
+	}
+	for _, key := range []string{`"nproc":2`, `"gomaxprocs":1`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("JSON %s lacks %s", data, key)
 		}
 	}
 }

@@ -42,7 +42,6 @@ package hdpat
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"hdpat/internal/attr"
 	"hdpat/internal/check"
@@ -211,13 +210,6 @@ func simulate(ctx context.Context, cfg Config, spec RunSpec, rc *runConfig) (Res
 	}
 	if rc.attribution {
 		wopts.Attribution = &attr.Config{}
-	}
-	if rc.domains != nil {
-		n := *rc.domains
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		wopts.Domains = n
 	}
 	var owned *trace.Tracer
 	if rc.tracer != nil {

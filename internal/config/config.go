@@ -368,8 +368,9 @@ func (s System) Validate() error {
 		return &ValidationError{Field: "noc", Reason: fmt.Sprintf("bytes_per_cycle %v must be positive", s.NoC.BytesPerCycle)}
 	}
 	// HopLatency is an unsigned cycle count, so "negative" cannot be
-	// represented; zero is rejected too because the hop latency doubles as
-	// the domain-sharded coordinator's lookahead window.
+	// represented; zero is rejected too, since a zero-latency hop would let
+	// a message cross the whole wafer inside one cycle, which no interposer
+	// link does (Table I: 32 cycles per hop).
 	if s.NoC.HopLatency < 1 {
 		return &ValidationError{Field: "noc", Reason: "hop_latency must be >= 1 cycle"}
 	}

@@ -382,9 +382,16 @@ func TestPrometheusExposition(t *testing.T) {
 }
 
 // TestConcurrentUpdatesAndSnapshots drives writers and snapshot readers in
-// parallel; run under -race this proves live scraping is safe.
+// parallel; run under -race this proves live scraping is safe. The merges
+// fold in a fixed side snapshot, not r's own: merging a registry into
+// itself doubles every counter, which overflows to 0 after 64 rounds.
 func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 	r := NewRegistry()
+	side := NewRegistry()
+	side.Counter("c").Inc()
+	side.Gauge("g").Set(1)
+	side.Histogram("h").Observe(1)
+	extra := side.Snapshot()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -407,11 +414,14 @@ func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			s := r.Snapshot()
 			_ = s.Prometheus()
-			r.Merge(s) // merging while writing must also be safe
+			r.Merge(extra) // merging while writing must also be safe
 		}
 	}()
 	wg.Wait()
-	if r.Counter("c").Value() < 4000 {
-		t.Errorf("lost counter updates: %d", r.Counter("c").Value())
+	if got := r.Counter("c").Value(); got != 4000+100 {
+		t.Errorf("counter = %d, want 4100 (4 writers x 1000 + 100 merges)", got)
+	}
+	if got := r.Histogram("h").Count(); got != 4000+100 {
+		t.Errorf("histogram count = %d, want 4100", got)
 	}
 }

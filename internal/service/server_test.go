@@ -376,3 +376,29 @@ func TestMeshFieldsOmittedFromCanonicalSpec(t *testing.T) {
 		t.Fatalf("unset mesh fields leak into canonical encoding: %s", data)
 	}
 }
+
+// A corrupt artifact is answered with 500, never with its bytes; once
+// quarantined it is simply absent (404).
+func TestHTTPCorruptArtifactIs500(t *testing.T) {
+	svc, srv := serveTest(t, nil)
+	d, _, err := svc.Store().Put([]byte(`{"cycles": 4242}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipFirstDigit(t, svc.Store().objectPath(d))
+	resp, err := http.Get(srv.URL + "/v1/artifacts/" + d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("corrupt artifact = %d, want 500", resp.StatusCode)
+	}
+	if strings.Contains(string(body), "cycles") {
+		t.Errorf("corrupt bytes served: %s", body)
+	}
+	if code := getJSON(t, srv.URL+"/v1/artifacts/"+d, nil); code != http.StatusNotFound {
+		t.Errorf("quarantined artifact = %d, want 404", code)
+	}
+}

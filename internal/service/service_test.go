@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -195,6 +198,137 @@ func TestStoreIndexRebuild(t *testing.T) {
 	}
 	if !st2.Has(d) {
 		t.Errorf("rebuilt index lost %s", d)
+	}
+}
+
+// flipFirstDigit rewrites the first ASCII digit in the file at path to a
+// different digit: the bytes stop hashing to their digest but still parse
+// as the same JSON shape, so only a hash check can notice.
+func flipFirstDigit(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.IndexAny(data, "0123456789")
+	if i < 0 {
+		t.Fatalf("%s holds no digit to flip", path)
+	}
+	data[i] = '0' + (data[i]-'0'+1)%10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A flipped byte is never served: Get re-hashes, moves the object aside,
+// drops it from the index and fails with ErrCorrupt; the next Put of the
+// same content writes it afresh.
+func TestStoreGetRejectsFlippedByte(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := st.Put([]byte(`{"cycles": 12345}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipFirstDigit(t, st.objectPath(d))
+	if data, err := st.Get(d); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt get = %q, %v; want ErrCorrupt", data, err)
+	}
+	if st.Has(d) {
+		t.Error("corrupt object still indexed")
+	}
+	if _, err := os.Stat(st.objectPath(d)); !os.IsNotExist(err) {
+		t.Errorf("corrupt object still in the object tree: %v", err)
+	}
+	if aside, _ := filepath.Glob(filepath.Join(dir, "quarantine", d+".*")); len(aside) != 1 {
+		t.Errorf("quarantine holds %v, want the one corrupt object", aside)
+	}
+	if _, err := st.Get(d); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("get after quarantine: %v, want not-exist", err)
+	}
+	// A reopened store does not resurrect it either.
+	st2, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.Has(d) {
+		t.Error("reopened store re-indexed the quarantined object")
+	}
+	if _, existed, err := st2.Put([]byte(`{"cycles": 12345}`)); err != nil || existed {
+		t.Fatalf("re-put: existed %v err %v", existed, err)
+	}
+	if data, err := st2.Get(d); err != nil || string(data) != `{"cycles": 12345}` {
+		t.Errorf("get after re-put: %q %v", data, err)
+	}
+}
+
+// Readers racing a corrupt object and a writer restoring it: every Get
+// either fails or returns bytes that hash to the digest, and once the last
+// Put returns the object is whole.
+func TestStoreConcurrentGetNeverServesCorrupt(t *testing.T) {
+	st, err := OpenStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"cycles": 987654}`)
+	d, _, err := st.Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipFirstDigit(t, st.objectPath(d))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if data, err := st.Get(d); err == nil && !bytes.Equal(data, payload) {
+					t.Errorf("served %q for %s", data, d)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		if _, _, err := st.Put(payload); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	if _, _, err := st.Put(payload); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := st.Get(d); err != nil || !bytes.Equal(data, payload) {
+		t.Errorf("after final put: %q %v", data, err)
+	}
+}
+
+// The dedup check looks at the object file, not just the index: a Put whose
+// object was deleted behind the store's back rewrites it.
+func TestStorePutRewritesMissingObject(t *testing.T) {
+	st, err := OpenStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := st.Put([]byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(st.objectPath(d)); err != nil {
+		t.Fatal(err)
+	}
+	d2, existed, err := st.Put([]byte("payload"))
+	if err != nil || existed || d2 != d {
+		t.Fatalf("put over missing object: digest %s existed %v err %v", d2, existed, err)
+	}
+	if st.DedupHits() != 0 {
+		t.Errorf("rewrite counted as dedup hit (%d)", st.DedupHits())
+	}
+	if data, err := st.Get(d); err != nil || string(data) != "payload" {
+		t.Errorf("get after rewrite: %q %v", data, err)
 	}
 }
 
@@ -429,6 +563,96 @@ func TestKillAndRestartResumesSweep(t *testing.T) {
 		if a.Name != w.Name || a.Digest != w.Digest {
 			t.Errorf("artifact %d: %s %s, control %s %s", i, a.Name, a.Digest, w.Name, w.Digest)
 		}
+	}
+}
+
+// A resumed job whose journaled run object was corrupted while the daemon
+// was down re-executes that run, lands on the digest the uninterrupted
+// sweep produced, and leaves a good object behind in the store.
+func TestResumeRerunsCorruptRunObject(t *testing.T) {
+	spec := sweepSpec()
+	const allowBeforeKill = 2
+
+	ctrl := open(t, t.TempDir(), nil)
+	jc, _, err := ctrl.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitState(t, jc, StateDone)
+	ctrl.Close()
+
+	dir := t.TempDir()
+	var executed1 atomic.Int64
+	blocked := make(chan struct{})
+	var once sync.Once
+	svc1 := open(t, dir, func(ctx context.Context, s JobSpec, p Point, reg *metrics.Registry) (wafer.Result, error) {
+		if executed1.Add(1) > allowBeforeKill {
+			once.Do(func() { close(blocked) })
+			<-ctx.Done()
+			return wafer.Result{}, ctx.Err()
+		}
+		return fakeRun(ctx, s, p, reg)
+	})
+	if _, _, err := svc1.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-blocked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run function never reached the gate")
+	}
+	svc1.Close()
+
+	// Corrupt one journaled run's object while the daemon is down.
+	js, err := readJournal(journalPath(jobDir(dir, spec.ID())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(js.completed) != allowBeforeKill {
+		t.Fatalf("journal holds %d completed runs, want %d", len(js.completed), allowBeforeKill)
+	}
+	bad := -1
+	for i := range js.completed {
+		if bad < 0 || i < bad {
+			bad = i
+		}
+	}
+	digest := js.completed[bad]
+	store, err := OpenStore(filepath.Join(dir, "artifacts"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipFirstDigit(t, store.objectPath(digest))
+
+	var rerun atomic.Bool
+	svc2 := open(t, dir, func(ctx context.Context, s JobSpec, p Point, reg *metrics.Registry) (wafer.Result, error) {
+		if p.Index == bad {
+			rerun.Store(true)
+		}
+		return fakeRun(ctx, s, p, reg)
+	})
+	defer svc2.Close()
+	j, ok := svc2.Get(spec.ID())
+	if !ok {
+		t.Fatal("recovered service lost the job")
+	}
+	got := waitState(t, j, StateDone)
+	if !rerun.Load() {
+		t.Errorf("run %d resumed from a corrupt object instead of re-executing", bad)
+	}
+	if got.Progress.Resumed != allowBeforeKill-1 {
+		t.Errorf("resumed %d runs, want %d", got.Progress.Resumed, allowBeforeKill-1)
+	}
+	if len(got.Artifacts) != len(want.Artifacts) {
+		t.Fatalf("artifact count %d vs control %d", len(got.Artifacts), len(want.Artifacts))
+	}
+	for i, a := range got.Artifacts {
+		if w := want.Artifacts[i]; a.Name != w.Name || a.Digest != w.Digest {
+			t.Errorf("artifact %d: %s %s, control %s %s", i, a.Name, a.Digest, w.Name, w.Digest)
+		}
+	}
+	if _, err := svc2.Store().Get(digest); err != nil {
+		t.Errorf("re-executed run object not restored: %v", err)
 	}
 }
 

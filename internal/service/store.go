@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -23,10 +24,16 @@ type ArtifactInfo struct {
 	Created int64 `json:"created"`
 }
 
+// ErrCorrupt reports a stored object whose bytes no longer hash to its
+// digest. Get moves such an object aside (under <dir>/quarantine) and drops
+// it from the index, so the next Put of the same content rewrites it.
+var ErrCorrupt = errors.New("service: store: object corrupt")
+
 // Store is a content-addressed artifact store: objects live under
 // <dir>/objects/<aa>/<digest> keyed by the SHA-256 hex of their content,
 // with a JSON index at <dir>/index.json. Identical content is stored once
-// regardless of how many jobs produce it.
+// regardless of how many jobs produce it. Every read re-hashes the object,
+// so corrupt bytes are never served.
 type Store struct {
 	dir string
 	log *slog.Logger
@@ -95,19 +102,23 @@ func (s *Store) rebuild() error {
 
 // Put stores data under its SHA-256 digest and returns the digest. existed
 // reports a deduplicated write: the object (byte-identical content) was
-// already present. The object file lands via temp-file + rename, so readers
-// never observe a partial object.
+// already present, in the index and on disk; an indexed object whose file
+// has gone missing is rewritten. The object file lands via temp-file +
+// rename, so readers never observe a partial object.
 func (s *Store) Put(data []byte) (digest string, existed bool, err error) {
 	sum := sha256.Sum256(data)
 	digest = hex.EncodeToString(sum[:])
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[digest]; ok {
-		s.dedup++
-		return digest, true, nil
-	}
 	path := s.objectPath(digest)
+	if _, ok := s.index[digest]; ok {
+		if _, err := os.Stat(path); err == nil {
+			s.dedup++
+			return digest, true, nil
+		}
+		s.log.Warn("indexed object missing; rewriting", "digest", digest)
+	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return "", false, fmt.Errorf("service: store: %w", err)
 	}
@@ -153,7 +164,10 @@ func (s *Store) writeIndexLocked() {
 	}
 }
 
-// Get returns the content stored under digest.
+// Get returns the content stored under digest after checking that it still
+// hashes to digest. A mismatch quarantines the object and returns an error
+// wrapping ErrCorrupt; a missing object returns one wrapping
+// fs.ErrNotExist.
 func (s *Store) Get(digest string) ([]byte, error) {
 	if !validDigest(digest) {
 		return nil, fmt.Errorf("service: store: invalid digest %q", digest)
@@ -162,7 +176,39 @@ func (s *Store) Get(digest string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: store: %w", err)
 	}
+	if !hashes(data, digest) {
+		s.quarantine(digest)
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, digest)
+	}
 	return data, nil
+}
+
+// hashes reports whether data's SHA-256 hex is digest.
+func hashes(data []byte, digest string) bool {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]) == digest
+}
+
+// quarantine moves a corrupt object out of the object tree, so neither a
+// later Get nor an index rebuild sees it, and drops it from the index. The
+// file is re-read under the lock: a concurrent Get may already have moved
+// it aside, or a concurrent Put rewritten it with good bytes.
+func (s *Store) quarantine(digest string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	path := s.objectPath(digest)
+	if data, err := os.ReadFile(path); err != nil || hashes(data, digest) {
+		return
+	}
+	aside := filepath.Join(s.dir, "quarantine", fmt.Sprintf("%s.%d", digest, time.Now().UnixNano()))
+	if os.MkdirAll(filepath.Dir(aside), 0o755) != nil || os.Rename(path, aside) != nil {
+		// Could not move it aside: delete it rather than keep it in the
+		// tree, where a rebuild would index it again.
+		os.Remove(path)
+	}
+	delete(s.index, digest)
+	s.writeIndexLocked()
+	s.log.Warn("corrupt object quarantined", "digest", digest, "path", aside)
 }
 
 // Has reports whether digest is present.
