@@ -7,7 +7,7 @@ GO ?= go
 BENCH ?= BenchmarkBatch3x3|BenchmarkCompare|BenchmarkScale
 BENCHTIME ?= 3x
 
-.PHONY: build test race vet staticcheck check verify-invariants bench bench-check bench-all report service-smoke scale-check
+.PHONY: build test race vet staticcheck check verify-invariants bench bench-check bench-all report service-smoke scale-check bench-module
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,12 @@ scale-check:
 # serial/parallel comparison.
 bench-all:
 	$(GO) test -bench=. -benchtime 1x
+
+# The benchmark harness is a nested module (hdpatbench/go.mod) that the root
+# ./... patterns skip; build, vet and test it on its own so a change to an
+# internal API it uses cannot pass unnoticed.
+bench-module:
+	cd hdpatbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # Service smoke (run by CI): build hdpatd, start it, submit a compare job
 # over HTTP, poll to completion and check every served artifact's bytes

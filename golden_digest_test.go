@@ -24,9 +24,6 @@ import (
 	"testing"
 
 	"hdpat"
-	"hdpat/internal/migrate"
-	"hdpat/internal/wafer"
-	"hdpat/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_digests.json from current outputs")
@@ -77,8 +74,7 @@ func digestResult(t *testing.T, res hdpat.Result) string {
 
 // goldenRuns produces the scheme x benchmark digest map. Each run uses the
 // Table I configuration with a small per-CU ops budget and a fixed seed;
-// attribution is enabled so the Breakdown is part of the contract. One
-// extra run exercises the page-migration extension's request path.
+// attribution is enabled so the Breakdown is part of the contract.
 func goldenRuns(t *testing.T) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
@@ -93,24 +89,6 @@ func goldenRuns(t *testing.T) map[string]string {
 			out[scheme+"/"+bench] = digestResult(t, res)
 		}
 	}
-	// Page migration rides the same pooled request path; pin its outputs too.
-	mcfg, err := wafer.ConfigFor("hdpat", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench, err := workload.ByAbbr("PR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mig := migrate.DefaultConfig()
-	res, err := wafer.Run(mcfg, wafer.Options{
-		Scheme: "hdpat", Benchmark: bench, OpsBudget: 12, Seed: 7,
-		Migration: &mig,
-	})
-	if err != nil {
-		t.Fatalf("hdpat/PR+migrate: %v", err)
-	}
-	out["hdpat/PR/migrate"] = digestResult(t, res)
 	return out
 }
 

@@ -224,11 +224,3 @@ func simulate(ctx context.Context, cfg Config, spec RunSpec, rc *runConfig) (Res
 	}
 	return res, err
 }
-
-// SimulateWithIOMMU is Simulate with a hook to adjust the IOMMU parameters
-// after the scheme's defaults are applied.
-//
-// Deprecated: use Simulate (or SimulateContext) with WithIOMMU.
-func SimulateWithIOMMU(cfg Config, spec RunSpec, tweak func(*IOMMUConfig)) (Result, error) {
-	return Simulate(cfg, spec, WithIOMMU(tweak))
-}

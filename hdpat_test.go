@@ -54,17 +54,17 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestSimulateWithIOMMU(t *testing.T) {
+func TestSimulateWithIOMMUOption(t *testing.T) {
 	cfg := hdpat.DefaultConfig()
 	cfg.MeshW, cfg.MeshH = 5, 5
 	cfg.GPM.NumCUs = 8
 	applied := false
-	res, err := hdpat.SimulateWithIOMMU(cfg,
+	res, err := hdpat.Simulate(cfg,
 		hdpat.RunSpec{Scheme: "hdpat", Benchmark: "FIR", OpsBudget: 32, Seed: 1},
-		func(io *hdpat.IOMMUConfig) {
+		hdpat.WithIOMMU(func(io *hdpat.IOMMUConfig) {
 			applied = true
 			io.PrefetchDegree = 8
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

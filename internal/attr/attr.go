@@ -188,7 +188,9 @@ type Breakdown struct {
 	// never stitched: the request's breakdown was finalised at completion,
 	// so stitching would corrupt the exact accounting.
 	LateSpans uint64 `json:"late_spans"`
-	// Migrations counts completed page migrations during the run.
+	// Migrations is always zero: the simulator has no page migration. The
+	// field stays because every committed digest and hdpatd artifact
+	// contains it.
 	Migrations uint64 `json:"migrations"`
 
 	// Stages maps StageAdmission/StagePWQ/StageWalk/StageWire/StageTotal to
@@ -244,7 +246,7 @@ type linkKey struct {
 type LinkVisitor func(x, y int, dir string, busy uint64)
 
 // Collector is the live attribution ledger. It implements trace.Sink
-// structurally (OnRequest/OnQueue/OnWalk/OnHop/OnMigration) and additionally
+// structurally (OnRequest/OnQueue/OnWalk/OnHop) and additionally
 // receives periodic Sample calls from the engine sampler. It is not
 // goroutine-safe: like the tracer state it observes, it belongs to one
 // simulation engine.
@@ -258,7 +260,6 @@ type Collector struct {
 	tlb     map[string]*TLBLevel
 	clipped uint64
 	late    uint64
-	migs    uint64
 
 	// Per-link aggregates in structure-of-arrays form: linkIdx maps a
 	// directed link to its slot in the parallel columns below. One small
@@ -410,11 +411,6 @@ func (c *Collector) linkSlot(k linkKey) int32 {
 	return i
 }
 
-// OnMigration counts one completed page migration (trace.Sink).
-func (c *Collector) OnMigration(start, end uint64, vpn uint64, from, to int) {
-	c.migs++
-}
-
 // OnRequest finalises one request's ledger entry (trace.Sink): the
 // end-to-end latency becomes the total, accumulated stages are recorded, and
 // wire is the exact remainder.
@@ -509,7 +505,6 @@ func (c *Collector) Finalize(scheme, benchmark string, cycles uint64) *Breakdown
 		Unfinished: uint64(len(c.open)),
 		Clipped:    c.clipped,
 		LateSpans:  c.late,
-		Migrations: c.migs,
 		Stages:     c.stages,
 		Sources:    c.sources,
 		Series:     c.series,

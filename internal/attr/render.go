@@ -24,9 +24,6 @@ func (b *Breakdown) WriteMarkdown(w io.Writer) {
 	if b.Unfinished > 0 {
 		fmt.Fprintf(w, " (%d unfinished)", b.Unfinished)
 	}
-	if b.Migrations > 0 {
-		fmt.Fprintf(w, ", %d migrations", b.Migrations)
-	}
 	fmt.Fprintf(w, ".\n\n")
 
 	total := b.Stage(StageTotal)

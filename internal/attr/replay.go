@@ -53,8 +53,6 @@ func ReplayJSONL(r io.Reader, run int) (*Breakdown, error) {
 			c.OnHop(ts, end, int(num(e, "fx")), int(num(e, "fy")),
 				int(num(e, "tx")), int(num(e, "ty")), int(num(e, "bytes")),
 				num(e, "defl") != 0)
-		case "migration":
-			c.OnMigration(ts, end, num(e, "vpn"), int(num(e, "from")), int(num(e, "to")))
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -16,7 +16,7 @@
 //     exactly one window apart — a gap means time-series windows were
 //     silently dropped.
 //   - xlat.bad-pfn: via Scheme, every remote translation's completion carries
-//     the frame the global page table maps (reported through Record).
+//     the frame the global page table maps.
 //
 // At settle (Finish with Final.Settled):
 //
@@ -163,16 +163,12 @@ func New(o Options) *Checker {
 	}
 }
 
-// Record adds one violation (bounded; the count stays exact).
-func (c *Checker) Record(v Violation) {
+// violate records one violation (bounded; the count stays exact).
+func (c *Checker) violate(inv string, req, cycle uint64, format string, args ...any) {
 	c.nViolated++
 	if len(c.violations) < maxRecorded {
-		c.violations = append(c.violations, v)
+		c.violations = append(c.violations, Violation{Invariant: inv, Req: req, Cycle: cycle, Detail: fmt.Sprintf(format, args...)})
 	}
-}
-
-func (c *Checker) violate(inv string, req, cycle uint64, format string, args ...any) {
-	c.Record(Violation{Invariant: inv, Req: req, Cycle: cycle, Detail: fmt.Sprintf(format, args...)})
 }
 
 // Violations returns the recorded violations (capped) and the exact total.
@@ -233,9 +229,6 @@ func (c *Checker) OnHop(start, end uint64, fromX, fromY, toX, toY, size int, def
 		c.hopDefl++
 	}
 }
-
-// OnMigration implements trace.Sink.
-func (c *Checker) OnMigration(start, end uint64, vpn uint64, from, to int) {}
 
 // Sample receives one sampler boundary. Boundaries must arrive in order,
 // exactly one window apart — anything else means a dropped or duplicated
@@ -353,18 +346,15 @@ func (c *Checker) Finish(f Final) error {
 }
 
 // Scheme wraps a remote translator, validating that every completion carries
-// the frame number the global page table maps for the requested page — the
-// generalised form of the wafer's former checkedScheme. Report receives one
-// Violation per mismatch; wiring it to Checker.Record folds translation
-// correctness into the invariant error, wiring it elsewhere (the Validate
-// option's string list) keeps the legacy behaviour. Do not wrap a migrating
-// scheme: in-flight completions legitimately race the table repoint.
+// the frame number the global page table maps for the requested page. Each
+// mismatch is recorded on Checker as an xlat.bad-pfn violation, so
+// translation correctness folds into the invariant error.
 type Scheme struct {
-	Inner  xlat.RemoteTranslator
-	Global *vm.PageTable
-	Report func(Violation)
-	// Now supplies the detection cycle for reported violations; nil means 0.
-	Now func() uint64
+	Inner   xlat.RemoteTranslator
+	Global  *vm.PageTable
+	Checker *Checker
+	// Eng supplies the detection cycle for violations.
+	Eng *sim.Engine
 }
 
 // Name returns the wrapped scheme's name.
@@ -374,22 +364,13 @@ func (s *Scheme) Name() string { return s.Inner.Name() }
 // against the global page table before completing the real request.
 func (s *Scheme) Translate(req *xlat.Request) {
 	proxy := xlat.NewRequest(req.ID, req.PID, req.VPN, req.Requester, req.Issued, func(res xlat.Result) {
-		var cycle uint64
-		if s.Now != nil {
-			cycle = s.Now()
-		}
+		cycle := uint64(s.Eng.Now())
 		want, _, ok := s.Global.Lookup(req.VPN)
 		if !ok {
-			s.Report(Violation{
-				Invariant: "xlat.bad-pfn", Req: req.ID, Cycle: cycle,
-				Detail: fmt.Sprintf("vpn %#x: completed but unmapped", uint64(req.VPN)),
-			})
+			s.Checker.violate("xlat.bad-pfn", req.ID, cycle, "vpn %#x: completed but unmapped", uint64(req.VPN))
 		} else if want.PFN != res.PTE.PFN {
-			s.Report(Violation{
-				Invariant: "xlat.bad-pfn", Req: req.ID, Cycle: cycle,
-				Detail: fmt.Sprintf("vpn %#x: pfn %#x from %v, want %#x",
-					uint64(req.VPN), uint64(res.PTE.PFN), res.Source, uint64(want.PFN)),
-			})
+			s.Checker.violate("xlat.bad-pfn", req.ID, cycle, "vpn %#x: pfn %#x from %v, want %#x",
+				uint64(req.VPN), uint64(res.PTE.PFN), res.Source, uint64(want.PFN))
 		}
 		req.Complete(res)
 	})

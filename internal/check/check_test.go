@@ -8,6 +8,7 @@ import (
 	"hdpat/internal/attr"
 	"hdpat/internal/iommu"
 	"hdpat/internal/noc"
+	"hdpat/internal/sim"
 	"hdpat/internal/vm"
 	"hdpat/internal/xlat"
 )
@@ -257,12 +258,7 @@ func TestSchemeCatchesBadPFN(t *testing.T) {
 	global := vm.NewPageTable()
 	global.Insert(vm.PTE{VPN: 7, PFN: 5007, Valid: true})
 	c := New(Options{})
-	s := &Scheme{
-		Inner:  &fakeScheme{pfn: 1234},
-		Global: global,
-		Report: c.Record,
-		Now:    func() uint64 { return 42 },
-	}
+	s := &Scheme{Inner: &fakeScheme{pfn: 1234}, Global: global, Checker: c, Eng: sim.NewEngine()}
 	done := false
 	s.Translate(xlat.NewRequest(1, 0, 7, 0, 0, func(xlat.Result) { done = true }))
 	if !done {
@@ -272,7 +268,7 @@ func TestSchemeCatchesBadPFN(t *testing.T) {
 
 	// A correct completion passes through clean.
 	c2 := New(Options{})
-	s2 := &Scheme{Inner: &fakeScheme{pfn: 5007}, Global: global, Report: c2.Record}
+	s2 := &Scheme{Inner: &fakeScheme{pfn: 5007}, Global: global, Checker: c2, Eng: sim.NewEngine()}
 	s2.Translate(xlat.NewRequest(2, 0, 7, 0, 0, func(xlat.Result) {}))
 	if err := c2.Err(); err != nil {
 		t.Fatalf("correct translation reported: %v", err)

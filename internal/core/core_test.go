@@ -257,41 +257,3 @@ func TestFabricHelpers(t *testing.T) {
 		t.Error("Respond did not deliver")
 	}
 }
-
-func TestFabricShootdown(t *testing.T) {
-	f, eng := testFabric(t, config.HDPATIOMMU())
-	s := NewHDPAT(f, config.DefaultHDPAT())
-	// Resolve VPN 20 twice so pushes install aux copies and an RT entry.
-	for i := uint64(0); i < 2; i++ {
-		s.Translate(request(f, i+1, 20, 0, func(xlat.Result) {}))
-		eng.Run()
-	}
-	if f.IOMMU.RT().Len() == 0 {
-		t.Fatal("no RT entries to shoot down")
-	}
-	var dropped int
-	doneAt := sim.VTime(0)
-	f.Shootdown(0, []vm.VPN{20, 21, 22, 23}, func(n int) {
-		dropped = n
-		doneAt = eng.Now()
-	})
-	start := eng.Now()
-	eng.Run()
-	if dropped == 0 {
-		t.Error("shootdown dropped nothing despite warm caches")
-	}
-	if doneAt <= start {
-		t.Error("shootdown completed instantaneously")
-	}
-	// RT no longer redirects for the shot-down page.
-	if _, ok := f.IOMMU.RT().Lookup(keyOf(request(f, 9, 20, 0, func(xlat.Result) {}))); ok {
-		t.Error("RT entry survived shootdown")
-	}
-	// The next translation must be a cold walk again.
-	walks := f.IOMMU.Stats.Walks
-	s.Translate(request(f, 10, 20, 3, func(xlat.Result) {}))
-	eng.Run()
-	if f.IOMMU.Stats.Walks != walks+1 {
-		t.Errorf("post-shootdown request did not walk (walks %d -> %d)", walks, f.IOMMU.Stats.Walks)
-	}
-}

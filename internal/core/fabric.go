@@ -111,37 +111,3 @@ func (f *Fabric) Respond(from geom.Coord, req *xlat.Request, res xlat.Result) {
 
 // keyOf builds the TLB key of a request.
 func keyOf(req *xlat.Request) tlb.Key { return tlb.Key{PID: req.PID, VPN: req.VPN} }
-
-// Shootdown performs a wafer-wide TLB shootdown for the given pages: the
-// IOMMU purges its redirection table and counters, then broadcasts an
-// invalidation to every GPM over the mesh; each GPM invalidates its TLB
-// hierarchy and auxiliary cache and acknowledges. done fires when the last
-// acknowledgement arrives back at the CPU tile, receiving the total number
-// of cached entries dropped. The paper needs this only when freeing memory
-// (§II-A); the page-migration extension issues one per migrated page.
-func (f *Fabric) Shootdown(pid vm.PID, vpns []vm.VPN, done func(dropped int)) {
-	keys := make([]tlb.Key, len(vpns))
-	for i, v := range vpns {
-		keys[i] = tlb.Key{PID: pid, VPN: v}
-	}
-	f.IOMMU.Invalidate(keys)
-	// One invalidation message per GPM, sized by the key list.
-	msgBytes := 16 + 8*len(keys)
-	pending := len(f.GPMs)
-	dropped := 0
-	cpu := f.Layout.CPU
-	for _, g := range f.GPMs {
-		g := g
-		f.Mesh.Send(cpu, g.Coord, msgBytes, func() {
-			f.Eng.Schedule(gpm.ShootdownLatency(len(keys)), func() {
-				dropped += g.Shootdown(keys)
-				f.Mesh.Send(g.Coord, cpu, 8, func() {
-					pending--
-					if pending == 0 && done != nil {
-						done(dropped)
-					}
-				})
-			})
-		})
-	}
-}

@@ -17,7 +17,6 @@ import (
 	"hdpat/internal/config"
 	"hdpat/internal/metrics"
 	"hdpat/internal/runner"
-	"hdpat/internal/sim"
 	"hdpat/internal/wafer"
 	"hdpat/internal/workload"
 	"hdpat/internal/xlat"
@@ -175,13 +174,11 @@ func (s *Session) benchmarks() []string {
 	return workload.Names()
 }
 
-// runKey is the memo key for one simulation.
+// runKey is the memo key for one simulation. It renders the whole config:
+// config.System holds only plain values, so two configs share a key exactly
+// when every field agrees.
 func runKey(cfg config.System, scheme, bench string, opts wafer.Options) string {
-	return fmt.Sprintf("%s|%s|%s|%d|%d|%d|%d|%v|%d|%d|%d|%d|%v|%d|%d",
-		cfg.Name, scheme, bench, cfg.MeshW, cfg.MeshH, cfg.PageSize, cfg.WorkloadScale,
-		cfg.IOMMU.UseTLB, cfg.IOMMU.Walkers, cfg.IOMMU.WalkCycles, cfg.IOMMU.PrefetchDegree,
-		cfg.IOMMU.RedirectEntries, cfg.IOMMU.Revisit, cfg.GPM.L2Cache.SizeBytes,
-		opts.OpsBudget)
+	return fmt.Sprintf("%+v|%s|%s|%d|%d", cfg, scheme, bench, opts.OpsBudget, opts.Seed)
 }
 
 // plainRun reports whether a run is memoisable (no hooks, observability
@@ -349,8 +346,6 @@ func All() []Experiment {
 		{"ext-probe", "EXT: probe dispatch policy and layer count", ExtProbePolicy},
 		{"ext-threshold", "EXT: selective push threshold sweep", ExtPushThreshold},
 		{"ext-ownerfw", "EXT: owner-forwarded walks what-if", ExtOwnerForward},
-		{"ext-migrate", "EXT: page migration on top of HDPAT", ExtMigration},
-		{"ext-migrate-micro", "EXT: migration mechanism microbenchmark", ExtMigrationMicro},
 	}
 }
 
@@ -415,17 +410,6 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// fmtCycles renders a cycle count compactly.
-func fmtCycles(c sim.VTime) string {
-	switch {
-	case c >= 1_000_000:
-		return fmt.Sprintf("%.2fM", float64(c)/1e6)
-	case c >= 1_000:
-		return fmt.Sprintf("%.1fk", float64(c)/1e3)
-	}
-	return fmt.Sprintf("%d", c)
 }
 
 func offloadPct(r wafer.Result) float64 { return 100 * r.OffloadFraction() }

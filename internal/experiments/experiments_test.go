@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"hdpat/internal/config"
+	"hdpat/internal/wafer"
 )
 
 // tinySession keeps experiment tests fast: one benchmark, small budget.
@@ -24,8 +27,8 @@ func TestTableRendering(t *testing.T) {
 
 func TestByIDAndRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 25 {
-		t.Fatalf("registry has %d experiments, want 25", len(ids))
+	if len(ids) != 23 {
+		t.Fatalf("registry has %d experiments, want 23", len(ids))
 	}
 	defaults := 0
 	for _, id := range ids {
@@ -89,6 +92,26 @@ func TestSessionCachesRuns(t *testing.T) {
 	if s.Runs != runs {
 		t.Errorf("fig17 re-ran %d simulations despite cache", s.Runs-runs)
 	}
+	// A config that differs from a cached one in any field, even one the
+	// caller left under the same Name, is a distinct run.
+	cfg, err := wafer.ConfigFor("hdpat", config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench := s.benchmarks()[0]
+	if _, err := s.run(cfg, "hdpat", bench, wafer.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Runs != runs {
+		t.Fatalf("default hdpat/%s was not cached by fig16", bench)
+	}
+	cfg.HDPAT.Layers++
+	if _, err := s.run(cfg, "hdpat", bench, wafer.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Runs != runs+1 {
+		t.Errorf("config differing only in HDPAT.Layers ran %d simulations, want 1", s.Runs-runs)
+	}
 }
 
 func TestPerformanceFigureShapes(t *testing.T) {
@@ -139,9 +162,6 @@ func TestHelpers(t *testing.T) {
 	}
 	if geomean(nil) != 0 || mean(nil) != 0 {
 		t.Error("empty inputs")
-	}
-	if fmtCycles(1500) != "1.5k" || fmtCycles(2_500_000) != "2.50M" || fmtCycles(12) != "12" {
-		t.Errorf("fmtCycles: %s %s %s", fmtCycles(1500), fmtCycles(2_500_000), fmtCycles(12))
 	}
 	if got := sortedKeys(map[string]int{"b": 1, "a": 2}); got[0] != "a" {
 		t.Errorf("sortedKeys = %v", got)

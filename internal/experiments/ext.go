@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"hdpat/internal/config"
-	"hdpat/internal/migrate"
-	"hdpat/internal/vm"
 	"hdpat/internal/wafer"
-	"hdpat/internal/workload"
 )
 
 // Extension experiments: studies beyond the paper's figures, covering the
@@ -159,122 +156,5 @@ func ExtOwnerForward(s *Session) (Table, error) {
 	t.Addf("MEAN", mean(hd), mean(of))
 	t.Note("owner forwarding exploits 48x8 distributed walkers but loses on hot partitions and")
 	t.Note("gives up the centralized management the zero-copy model assumes")
-	return t, nil
-}
-
-// ExtMigration evaluates the page-migration extension (the paper's stated
-// future work) on top of HDPAT: hot pages with a dominant remote requester
-// move into that GPM's HBM, trading one shootdown + page copy for fully
-// local access thereafter.
-func ExtMigration(s *Session) (Table, error) {
-	t := Table{ID: "ext-migrate", Title: "Page migration on top of HDPAT (speedup vs baseline)",
-		Header: []string{"Benchmark", "HDPAT", "HDPAT+migration", "Pages moved", "Shared-skips"}}
-	var hd, mg []float64
-	mcfg := migrate.DefaultConfig()
-	for _, bench := range s.benchmarks() {
-		base, h, err := s.pair("hdpat", bench)
-		if err != nil {
-			return t, err
-		}
-		cfg, _ := wafer.ConfigFor("hdpat", config.Default())
-		cfg.Name = "hdpat-migrate"
-		b, err := workload.ByAbbr(bench)
-		if err != nil {
-			return t, err
-		}
-		res, err := wafer.Run(cfg, wafer.Options{
-			Scheme: "hdpat", Benchmark: b, OpsBudget: s.P.OpsBudget,
-			Seed: s.P.Seed + 1, Migration: &mcfg,
-		})
-		if err != nil {
-			return t, err
-		}
-		s.Runs++
-		hs, ms := h.Speedup(base), res.Speedup(base)
-		hd = append(hd, hs)
-		mg = append(mg, ms)
-		t.Addf(bench, hs, ms, res.Migration.Migrations, res.Migration.SkippedShare)
-	}
-	t.Addf("MEAN", mean(hd), mean(mg), "", "")
-	t.Note("migration helps only pages with a dominant requester; shared hot pages are skipped")
-	return t, nil
-}
-
-// privateHot builds the migration microbenchmark: each GPM's CUs repeatedly
-// access a small set of pages owned by the next GPM (private to this
-// requester, so the dominance filter admits them), interleaved with local
-// filler that evicts the shared L2 TLB between rounds so the re-touches
-// reach the translation fabric instead of dying in the TLBs.
-func privateHot() workload.Benchmark {
-	const perGPM = 64
-	return workload.Custom("PRIV", "private remote hot pages", 4,
-		[]workload.RegionSpec{{Name: "data", Pages: 48 * perGPM}},
-		func(ctx workload.Context) []vm.VAddr {
-			r := ctx.Regions["data"]
-			neighbour := (ctx.GPM + 1) % ctx.NumGPMs
-			nLo, _ := r.OwnerSlice(neighbour, ctx.NumGPMs)
-			myLo, myHi := r.OwnerSlice(ctx.GPM, ctx.NumGPMs)
-			var tr []vm.VAddr
-			rounds := ctx.OpsBudget / 44
-			if rounds < 4 {
-				rounds = 4
-			}
-			for round := 0; round < rounds; round++ {
-				// Hot remote pages: the tail of the neighbour's chunk, which
-				// the neighbour's own filler (bounded to its chunk head)
-				// never touches — truly private to this requester.
-				for h := 0; h < 4; h++ {
-					tr = append(tr, ctx.PageSize.Base(r.Start+vm.VPN(nLo+perGPM-4+h)))
-				}
-				// Local filler: more distinct pages per round than the L1
-				// TLB holds, so the hot entries are evicted between rounds.
-				span := (myHi - myLo) / 2
-				for fcount := 0; fcount < 40; fcount++ {
-					pg := myLo + (round*40+fcount)%span
-					tr = append(tr, ctx.PageSize.Base(r.Start+vm.VPN(pg)))
-				}
-			}
-			return tr
-		})
-}
-
-// ExtMigrationMicro isolates the migration mechanism with the private-hot
-// microbenchmark and a deliberately tiny L2 TLB, so re-touches of remote
-// pages actually reach the translation fabric.
-func ExtMigrationMicro(s *Session) (Table, error) {
-	t := Table{ID: "ext-migrate-micro", Title: "Migration microbenchmark (private remote hot pages, tiny L2 TLB)",
-		Header: []string{"Config", "Cycles", "Remote reqs", "Migrations", "Speedup vs same scheme"}}
-	run := func(scheme string, with bool) (wafer.Result, error) {
-		cfg, _ := wafer.ConfigFor(scheme, config.Default())
-		cfg.Name = "migrate-micro"
-		cfg.GPM.L2TLB.Sets = 2
-		cfg.GPM.L2TLB.Ways = 8
-		opts := wafer.Options{Scheme: scheme, Benchmark: privateHot(),
-			OpsBudget: 480, Seed: s.P.Seed + 1}
-		if with {
-			mc := migrate.DefaultConfig()
-			mc.Threshold = 3
-			opts.Migration = &mc
-		}
-		s.Runs++
-		return wafer.Run(cfg, opts)
-	}
-	for _, scheme := range []string{"baseline", "hdpat"} {
-		off, err := run(scheme, false)
-		if err != nil {
-			return t, err
-		}
-		on, err := run(scheme, true)
-		if err != nil {
-			return t, err
-		}
-		t.Addf(scheme, fmtCycles(off.Cycles), off.RemoteRequests(), 0, 1.0)
-		t.Addf(scheme+"+migration", fmtCycles(on.Cycles), on.RemoteRequests(),
-			on.Migration.Migrations, on.Speedup(off))
-	}
-	t.Note("migration makes the hot pages local — a modest win over the naive baseline,")
-	t.Note("but a small loss under HDPAT, whose peer caches already absorb the re-touches")
-	t.Note("at lower cost than shootdown+copy; consistent with the paper deferring")
-	t.Note("migration to future work")
 	return t, nil
 }

@@ -200,7 +200,7 @@ func New(eng *sim.Engine, id int, coord geom.Coord, cfg config.GPM, ps vm.PageSi
 
 // ensure materializes the GPM's translation and data hierarchies on first
 // use. Every traffic entry point (local issue, peer probe, remote walk,
-// line fetch, shootdown) funnels through here; pure stat readers
+// line fetch) funnels through here; pure stat readers
 // (TLBStats, AuxLen, AuxStats) deliberately do not, so assembling results
 // never defeats the laziness.
 func (g *GPM) ensure() {
@@ -277,14 +277,6 @@ func (g *GPM) ReseedFilter(pid vm.PID, vpns []vm.VPN) {
 	}
 }
 
-// Aux exposes the auxiliary cache to schemes, materializing on demand.
-// Result assembly reads aux occupancy through AuxLen/AuxStats instead,
-// which stay nil-safe and never materialize.
-func (g *GPM) Aux() *AuxCache {
-	g.ensure()
-	return g.aux
-}
-
 // AuxLen reports the auxiliary cache's live entry count; zero for an
 // unmaterialized GPM.
 func (g *GPM) AuxLen() int {
@@ -305,9 +297,6 @@ func (g *GPM) AuxStats() tlb.Stats {
 
 // Engine returns the shared simulation engine.
 func (g *GPM) Engine() *sim.Engine { return g.eng }
-
-// PageSize returns the system page size.
-func (g *GPM) PageSize() vm.PageSize { return g.ps }
 
 // Translate resolves va for the given CU, invoking done with the PTE. The
 // closure-compat form of the op state machine (op.go); the CU issue path
@@ -432,12 +421,4 @@ func (g *GPM) InstallAux(pte vm.PTE, origin xlat.PushOrigin) {
 func (g *GPM) CacheOnPath(pte vm.PTE) {
 	g.ensure()
 	g.aux.Install(pte, xlat.PushDemand)
-}
-
-// AddLocalMapping registers a page newly resident in this GPM's HBM (page
-// migration target) with the local-page-table cuckoo filter; the page table
-// itself is updated by the placement layer.
-func (g *GPM) AddLocalMapping(pid vm.PID, vpn vm.VPN) {
-	g.ensure()
-	g.filter.Insert(filterKey(tlb.Key{PID: pid, VPN: vpn}))
 }

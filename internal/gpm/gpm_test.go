@@ -370,43 +370,3 @@ func TestL2DataMSHRExhaustionRecovers(t *testing.T) {
 		t.Fatalf("completed %d of 40", done)
 	}
 }
-
-func TestShootdownClearsAllStructures(t *testing.T) {
-	g, eng, _ := testGPM(t)
-	// Warm every structure: local translation (L1/L2/LLTLB), aux install.
-	g.Translate(0, addr(5), func(vm.PTE) {})
-	eng.Run()
-	g.InstallAux(vm.PTE{VPN: 5, PFN: 1, Valid: true}, xlat.PushDemand)
-	keys := []tlb.Key{{VPN: 5}}
-	dropped := g.Shootdown(keys)
-	if dropped < 3 {
-		t.Errorf("dropped %d entries, want >= 3 (L1, L2, aux at least)", dropped)
-	}
-	// Every structure must now miss.
-	if _, _, ok := g.Aux().Probe(tlb.Key{VPN: 5}); ok {
-		t.Error("aux still holds shot-down entry")
-	}
-	if g.Aux().MightHave(tlb.Key{VPN: 5}) {
-		t.Error("aux filter still claims shot-down entry")
-	}
-	// A fresh translation must re-walk (L1/L2 cleared).
-	walks := g.Stats.LocalWalks
-	g.Translate(0, addr(5), func(vm.PTE) {})
-	eng.Run()
-	if g.Stats.LocalWalks != walks+1 {
-		t.Error("translation after shootdown did not re-walk")
-	}
-}
-
-func TestShootdownSyncsLocalFilter(t *testing.T) {
-	g, eng, _ := testGPM(t)
-	// Unmap page 5 from the local table, then shoot it down: the cuckoo
-	// filter must stop claiming it so future requests go remote directly.
-	g.localPT.Remove(5)
-	g.Shootdown([]tlb.Key{{VPN: 5}})
-	g.Translate(0, addr(5), func(vm.PTE) {})
-	eng.Run()
-	if g.Stats.FilterPositive != 0 {
-		t.Error("filter still positive for unmapped, shot-down page")
-	}
-}

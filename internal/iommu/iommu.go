@@ -645,18 +645,3 @@ func (io *IOMMU) respond(req *xlat.Request, res xlat.Result) {
 
 // AccessCount returns the recorded demand count for a page (tests).
 func (io *IOMMU) AccessCount(k tlb.Key) uint32 { return io.counts[k] }
-
-// Invalidate drops all state the IOMMU holds for the given keys: redirect
-// table entries, IOMMU-TLB entries (Fig 19 variant), and the per-PTE access
-// counters. It is the IOMMU-side half of a TLB shootdown.
-func (io *IOMMU) Invalidate(keys []tlb.Key) {
-	for _, k := range keys {
-		if io.rt != nil {
-			io.rt.Remove(k)
-		}
-		if io.iotlb != nil {
-			io.iotlb.Invalidate(k)
-		}
-		delete(io.counts, k)
-	}
-}

@@ -433,7 +433,6 @@ func (s *sinkRecorder) OnQueue(stage string, start, end uint64, req uint64) {
 }
 func (s *sinkRecorder) OnWalk(start, end uint64, req, vpn uint64)                         { s.walks++ }
 func (s *sinkRecorder) OnHop(start, end uint64, fx, fy, tx, ty, size int, deflected bool) {}
-func (s *sinkRecorder) OnMigration(start, end uint64, vpn uint64, from, to int)           {}
 
 // checkConservation asserts the request accounting law: every Submit
 // terminates in exactly one of the six terminal counters.

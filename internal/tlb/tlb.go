@@ -176,19 +176,6 @@ func (t *TLB) Insert(pte vm.PTE) {
 	t.sets[si] = set
 }
 
-// Invalidate drops k if present and reports whether it was.
-func (t *TLB) Invalidate(k Key) bool {
-	si := t.setOf(k)
-	set := t.sets[si]
-	for i, e := range set {
-		if e.valid && e.key == k {
-			t.sets[si] = append(set[:i], set[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Flush invalidates everything.
 func (t *TLB) Flush() {
 	for i := range t.sets {

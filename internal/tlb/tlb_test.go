@@ -74,20 +74,6 @@ func TestReinsertRefreshes(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	tl := mkTLB(2, 2)
-	tl.Insert(pte(5))
-	if !tl.Invalidate(Key{VPN: 5}) {
-		t.Fatal("invalidate of present entry returned false")
-	}
-	if tl.Invalidate(Key{VPN: 5}) {
-		t.Fatal("double invalidate returned true")
-	}
-	if tl.Len() != 0 {
-		t.Errorf("Len = %d", tl.Len())
-	}
-}
-
 func TestFlush(t *testing.T) {
 	tl := mkTLB(4, 4)
 	for v := vm.VPN(0); v < 16; v++ {

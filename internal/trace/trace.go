@@ -1,5 +1,5 @@
 // Package trace is the cycle-domain event tracer: typed spans (IOMMU walks,
-// queue residency, NoC hops, page migrations) emitted as either a compact
+// queue residency, NoC hops, request lifecycles) emitted as either a compact
 // JSONL stream or Chrome trace_event JSON loadable in chrome://tracing /
 // Perfetto. Timestamps are simulated cycles, not wall time.
 //
@@ -63,8 +63,6 @@ type Sink interface {
 	// misrouted off a productive direction by bufferless deflection routing
 	// (always false under XY).
 	OnHop(start, end uint64, fromX, fromY, toX, toY, size int, deflected bool)
-	// OnMigration sees one completed page migration.
-	OnMigration(start, end uint64, vpn uint64, from, to int)
 }
 
 // state is the output stream shared by a tracer and its Run children. A nil
@@ -134,11 +132,6 @@ func (s teeSink) OnWalk(start, end uint64, req, vpn uint64) {
 func (s teeSink) OnHop(start, end uint64, fromX, fromY, toX, toY, size int, deflected bool) {
 	s.a.OnHop(start, end, fromX, fromY, toX, toY, size, deflected)
 	s.b.OnHop(start, end, fromX, fromY, toX, toY, size, deflected)
-}
-
-func (s teeSink) OnMigration(start, end uint64, vpn uint64, from, to int) {
-	s.a.OnMigration(start, end, vpn, from, to)
-	s.b.OnMigration(start, end, vpn, from, to)
 }
 
 // Run derives a child tracer for one run of a batch: same stream, events
@@ -298,20 +291,6 @@ func (t *Tracer) HopSpan(start, end uint64, fromX, fromY, toX, toY, size int, de
 		kv = append(kv, KV{"defl", 1})
 	}
 	t.emit("noc", "hop", start, int64(end-start), kv)
-}
-
-// MigrationSpan records one page migration (shootdown through data copy)
-// of vpn from GPM `from` to GPM `to`.
-func (t *Tracer) MigrationSpan(start, end uint64, vpn uint64, from, to int) {
-	if t == nil {
-		return
-	}
-	if t.sink != nil {
-		t.sink.OnMigration(start, end, vpn, from, to)
-	}
-	t.emit("migrate", "migration", start, int64(end-start), []KV{
-		{"vpn", vpn}, {"from", uint64(from)}, {"to", uint64(to)},
-	})
 }
 
 // RequestSpan records one remote translation lifecycle — request issue at

@@ -15,7 +15,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.WalkSpan(0, 10, 1, 2)
 	tr.QueueSpan("iommu.pwq", 0, 5, 1)
 	tr.HopSpan(0, 32, 0, 0, 1, 0, 64, false)
-	tr.MigrationSpan(0, 100, 42, 1, 2)
 	tr.RequestSpan(0, 100, 1, 0, 3)
 	if tr.Run(3) != nil {
 		t.Error("nil.Run should stay nil")
@@ -77,7 +76,7 @@ func TestChromeFormatIsValidJSON(t *testing.T) {
 	tr := New(&buf, Chrome)
 	tr.WalkSpan(0, 10, 1, 2)
 	tr.Run(2).QueueSpan("iommu.pwq", 5, 9, 1)
-	tr.MigrationSpan(0, 50, 9, 0, 3)
+	tr.HopSpan(0, 50, 0, 0, 3, 0, 9, false)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +94,8 @@ func TestChromeFormatIsValidJSON(t *testing.T) {
 		t.Errorf("child-run event pid = %v", events[1]["pid"])
 	}
 	args, ok := events[2]["args"].(map[string]any)
-	if !ok || args["vpn"] != float64(9) || args["to"] != float64(3) {
-		t.Errorf("migration args = %v", events[2]["args"])
+	if !ok || args["bytes"] != float64(9) || args["tx"] != float64(3) {
+		t.Errorf("hop args = %v", events[2]["args"])
 	}
 }
 
@@ -134,9 +133,9 @@ func TestEmitAfterCloseDropped(t *testing.T) {
 
 // recordingSink captures typed sink callbacks for assertions.
 type recordingSink struct {
-	requests, queues, walks, hops, migrations int
-	lastStage                                 string
-	lastSource                                int
+	requests, queues, walks, hops int
+	lastStage                     string
+	lastSource                    int
 }
 
 func (s *recordingSink) OnRequest(start, end uint64, req uint64, source, gpm int) {
@@ -151,9 +150,6 @@ func (s *recordingSink) OnWalk(start, end uint64, req, vpn uint64) { s.walks++ }
 func (s *recordingSink) OnHop(start, end uint64, fx, fy, tx, ty, size int, deflected bool) {
 	s.hops++
 }
-func (s *recordingSink) OnMigration(start, end uint64, vpn uint64, from, to int) {
-	s.migrations++
-}
 
 // TestSinkReceivesTypedSpans: Attach fans every typed span out to the sink
 // while the stream still sees it.
@@ -164,19 +160,18 @@ func TestSinkReceivesTypedSpans(t *testing.T) {
 	tr.WalkSpan(0, 10, 1, 2)
 	tr.QueueSpan("iommu.pwq", 0, 5, 1)
 	tr.HopSpan(0, 32, 0, 0, 1, 0, 64, false)
-	tr.MigrationSpan(0, 100, 42, 1, 2)
 	tr.RequestSpan(0, 50, 1, 3, 7)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.walks != 1 || sink.queues != 1 || sink.hops != 1 || sink.migrations != 1 || sink.requests != 1 {
+	if sink.walks != 1 || sink.queues != 1 || sink.hops != 1 || sink.requests != 1 {
 		t.Errorf("sink = %+v", sink)
 	}
 	if sink.lastStage != "iommu.pwq" || sink.lastSource != 3 {
 		t.Errorf("sink payloads = %+v", sink)
 	}
-	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 5 {
-		t.Errorf("stream got %d lines, want 5", got)
+	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 4 {
+		t.Errorf("stream got %d lines, want 4", got)
 	}
 }
 
@@ -271,15 +266,14 @@ func TestAttachComposesSinks(t *testing.T) {
 	tr.WalkSpan(0, 10, 1, 2)
 	tr.QueueSpan("iommu.admission", 0, 5, 1)
 	tr.HopSpan(0, 32, 0, 0, 1, 0, 64, false)
-	tr.MigrationSpan(0, 100, 42, 1, 2)
 	tr.RequestSpan(0, 50, 1, 3, 7)
 	for name, s := range map[string]*recordingSink{"first": &first, "second": &second} {
-		if s.walks != 1 || s.queues != 1 || s.hops != 1 || s.migrations != 1 || s.requests != 1 {
+		if s.walks != 1 || s.queues != 1 || s.hops != 1 || s.requests != 1 {
 			t.Errorf("%s sink = %+v", name, s)
 		}
 	}
-	if tr.Events() != 5 {
-		t.Errorf("events = %d, want 5", tr.Events())
+	if tr.Events() != 4 {
+		t.Errorf("events = %d, want 4", tr.Events())
 	}
 	// A Run child keeps the composed sink.
 	var third recordingSink

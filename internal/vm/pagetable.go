@@ -92,34 +92,6 @@ func (t *PageTable) Lookup(v VPN) (pte PTE, levels int, ok bool) {
 	return e, levels, true
 }
 
-// Contains reports whether v is mapped.
-func (t *PageTable) Contains(v VPN) bool {
-	_, _, ok := t.Lookup(v)
-	return ok
-}
-
-// Remove unmaps v and reports whether it was present. Interior nodes are not
-// reclaimed; unmap traffic is negligible in this model (§II-A: no page
-// migration, shootdown only at free).
-func (t *PageTable) Remove(v VPN) bool {
-	idx := t.indices(v)
-	n := t.root
-	for l := 0; l < t.levels-1; l++ {
-		c := n.children[idx[l]]
-		if c == nil {
-			return false
-		}
-		n = c
-	}
-	slot := &n.entries[idx[t.levels-1]]
-	if !slot.Valid {
-		return false
-	}
-	slot.Valid = false
-	t.size--
-	return true
-}
-
 // LeafIndex returns a key identifying the leaf node v resides in; two VPNs
 // with equal LeafIndex share a leaf page-table page, so walking one brings
 // the other's PTE into the same memory access. The prefetcher (§IV-G)

@@ -24,9 +24,6 @@ type Placement struct {
 	nextVPN VPN   // simple bump allocator for virtual pages
 	nextPFN []PFN // per-GPM physical frame bump allocator
 
-	// moved overlays migrated pages on the block-partition arithmetic.
-	moved map[VPN]int
-
 	regions []Region
 }
 
@@ -133,9 +130,6 @@ func (p *Placement) Alloc(name string, pages int, pid PID) Region {
 // table, using the region arithmetic the driver exposes. ok is false for
 // unmapped VPNs.
 func (p *Placement) OwnerOf(v VPN) (int, bool) {
-	if o, ok := p.moved[v]; ok {
-		return o, true
-	}
 	for _, r := range p.regions {
 		if r.Contains(v) {
 			return ownerOfIndex(int(v-r.Start), r.Pages, p.NumGPMs), true
@@ -152,54 +146,3 @@ func (p *Placement) TotalPages() int {
 	}
 	return n
 }
-
-// Free unmaps an entire region from the global table and every local
-// table, returning the VPNs that were unmapped. The caller is responsible
-// for the TLB shootdown that must follow (§II-A: freeing memory is the one
-// operation that requires one).
-func (p *Placement) Free(r Region) []VPN {
-	var vpns []VPN
-	for i := 0; i < r.Pages; i++ {
-		v := r.Start + VPN(i)
-		if p.global.Remove(v) {
-			vpns = append(vpns, v)
-		}
-		owner := ownerOfIndex(i, r.Pages, p.NumGPMs)
-		p.local[owner].Remove(v)
-	}
-	// Drop the region record so OwnerOf stops resolving it.
-	for i := range p.regions {
-		if p.regions[i].Start == r.Start && p.regions[i].Pages == r.Pages {
-			p.regions = append(p.regions[:i], p.regions[i+1:]...)
-			break
-		}
-	}
-	return vpns
-}
-
-// Migrate moves page v's frame to GPM `to`: the global table is repointed
-// at a fresh frame on the target, the old owner's local table drops the
-// page, and the target's local table gains it. The ownership overlay keeps
-// OwnerOf computable (migrated pages are exceptions to the block
-// arithmetic, which is exactly why the paper's zero-copy model defers
-// migration to future work). Returns the old and new PTEs.
-func (p *Placement) Migrate(v VPN, to int) (old, new PTE, ok bool) {
-	old, _, ok = p.global.Lookup(v)
-	if !ok || old.Owner == to {
-		return old, old, false
-	}
-	new = old
-	new.Owner = to
-	new.PFN = p.takeFrame(to)
-	p.global.Insert(new)
-	p.local[old.Owner].Remove(v)
-	p.local[to].Insert(new)
-	if p.moved == nil {
-		p.moved = make(map[VPN]int)
-	}
-	p.moved[v] = to
-	return old, new, true
-}
-
-// Migrated reports how many pages have been moved off their home chunk.
-func (p *Placement) Migrated() int { return len(p.moved) }

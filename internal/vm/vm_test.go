@@ -69,23 +69,6 @@ func TestPageTableMissEarlyTermination(t *testing.T) {
 	}
 }
 
-func TestPageTableRemove(t *testing.T) {
-	pt := NewPageTable()
-	pt.Insert(PTE{VPN: 7, PFN: 9})
-	if !pt.Remove(7) {
-		t.Fatal("Remove returned false for mapped page")
-	}
-	if pt.Contains(7) {
-		t.Fatal("page still mapped after Remove")
-	}
-	if pt.Remove(7) {
-		t.Fatal("double Remove returned true")
-	}
-	if pt.Len() != 0 {
-		t.Errorf("Len = %d after remove", pt.Len())
-	}
-}
-
 func TestPageTableOverwrite(t *testing.T) {
 	pt := NewPageTable()
 	pt.Insert(PTE{VPN: 5, PFN: 1})
@@ -130,7 +113,7 @@ func TestPageTableProperty(t *testing.T) {
 		}
 		for i := 0; i < 100; i++ {
 			v := VPN(rng.Uint64())
-			if _, present := ref[v]; !present && pt.Contains(v) {
+			if _, present := ref[v]; !present && mapped(pt, v) {
 				return false
 			}
 		}
@@ -158,12 +141,12 @@ func TestPlacementPartition(t *testing.T) {
 		if !ok || e.Owner != owner {
 			t.Fatalf("global table owner mismatch for page %d", i)
 		}
-		if !p.Local(owner).Contains(v) {
+		if !mapped(p.Local(owner), v) {
 			t.Fatalf("local table of GPM %d missing page %d", owner, i)
 		}
 		// No other GPM's local table has it.
 		other := (owner + 1) % 48
-		if p.Local(other).Contains(v) {
+		if mapped(p.Local(other), v) {
 			t.Fatalf("page %d leaked into GPM %d's local table", i, other)
 		}
 	}
@@ -235,7 +218,7 @@ func TestPlacementOwnerOfUnmapped(t *testing.T) {
 	if _, ok := p.OwnerOf(VPN(1 << 40)); ok {
 		t.Error("OwnerOf returned ok for unmapped page")
 	}
-	if p.Global().Contains(0) {
+	if mapped(p.Global(), 0) {
 		t.Error("guard VPN 0 should be unmapped")
 	}
 }
@@ -262,78 +245,6 @@ func TestPlacementOwnerAgreesWithTable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPlacementFree(t *testing.T) {
-	p := NewPlacement(8, Page4K)
-	r := p.Alloc("buf", 64, 0)
-	keep := p.Alloc("keep", 16, 0)
-	vpns := p.Free(r)
-	if len(vpns) != 64 {
-		t.Fatalf("freed %d pages, want 64", len(vpns))
-	}
-	for _, v := range vpns {
-		if p.Global().Contains(v) {
-			t.Fatalf("page %d still globally mapped", v)
-		}
-		if _, ok := p.OwnerOf(v); ok {
-			t.Fatalf("OwnerOf still resolves freed page %d", v)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < r.Pages; j++ {
-			if p.Local(i).Contains(r.Start + VPN(j)) {
-				t.Fatalf("GPM %d local table still maps freed page", i)
-			}
-		}
-	}
-	// Other regions untouched.
-	if !p.Global().Contains(keep.Start) {
-		t.Error("unrelated region was freed")
-	}
-	// Double free is a no-op.
-	if len(p.Free(r)) != 0 {
-		t.Error("double free returned pages")
-	}
-}
-
-func TestPlacementMigrate(t *testing.T) {
-	p := NewPlacement(8, Page4K)
-	r := p.Alloc("buf", 64, 0)
-	v := r.Start + 5
-	oldOwner, _ := p.OwnerOf(v)
-	target := (oldOwner + 3) % 8
-	old, moved, ok := p.Migrate(v, target)
-	if !ok {
-		t.Fatal("migrate failed")
-	}
-	if old.Owner != oldOwner || moved.Owner != target {
-		t.Fatalf("owners: old=%d moved=%d", old.Owner, moved.Owner)
-	}
-	if old.PFN == moved.PFN {
-		t.Error("migrated page kept its frame")
-	}
-	if got, _ := p.OwnerOf(v); got != target {
-		t.Errorf("OwnerOf = %d, want %d (overlay)", got, target)
-	}
-	e, _, _ := p.Global().Lookup(v)
-	if e.Owner != target || e.PFN != moved.PFN {
-		t.Errorf("global PTE %+v", e)
-	}
-	if p.Local(oldOwner).Contains(v) || !p.Local(target).Contains(v) {
-		t.Error("local tables not repointed")
-	}
-	if p.Migrated() != 1 {
-		t.Errorf("Migrated = %d", p.Migrated())
-	}
-	// Migrating to the current owner is a no-op.
-	if _, _, ok := p.Migrate(v, target); ok {
-		t.Error("self-migration succeeded")
-	}
-	// Migrating an unmapped page fails.
-	if _, _, ok := p.Migrate(VPN(1<<40), 0); ok {
-		t.Error("migrated unmapped page")
 	}
 }
 
@@ -401,4 +312,10 @@ func TestOwnerSliceTilesAtScale(t *testing.T) {
 	if next != pages {
 		t.Fatalf("slices cover %d pages, want %d", next, pages)
 	}
+}
+
+// mapped reports whether the table maps v.
+func mapped(t *PageTable, v VPN) bool {
+	_, _, ok := t.Lookup(v)
+	return ok
 }

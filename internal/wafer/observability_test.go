@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hdpat/internal/metrics"
-	"hdpat/internal/migrate"
 	"hdpat/internal/trace"
 	"hdpat/internal/workload"
 )
@@ -155,43 +154,5 @@ func TestDeterminismWithObservability(t *testing.T) {
 		if i > 100 {
 			break
 		}
-	}
-}
-
-// TestMigrationMetricsAndTrace exercises the migrate.* series and the
-// migration span path.
-func TestMigrationMetricsAndTrace(t *testing.T) {
-	cfg, err := ConfigFor("hdpat", smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := workload.ByAbbr("PR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcfg := Options{Scheme: "hdpat", Benchmark: b, OpsBudget: 48, Seed: 1}
-	mig := migrate.DefaultConfig()
-	mig.Threshold = 1 // migrate eagerly so the small run produces activity
-	mcfg.Migration = &mig
-	reg := metrics.NewRegistry()
-	var buf bytes.Buffer
-	tr := trace.New(&buf, trace.JSONL)
-	mcfg.Metrics = reg
-	mcfg.Trace = tr
-	res, err := Run(cfg, mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Migration.Migrations == 0 {
-		t.Skip("workload produced no migrations at this budget")
-	}
-	if got := res.Metrics.Counter("migrate.migrations"); got != res.Migration.Migrations {
-		t.Errorf("migrate.migrations = %d, stats say %d", got, res.Migration.Migrations)
-	}
-	if !strings.Contains(buf.String(), `"ev":"migration"`) {
-		t.Error("no migration spans in trace")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"hdpat/internal/gpm"
 	"hdpat/internal/iommu"
 	"hdpat/internal/metrics"
-	"hdpat/internal/migrate"
 	"hdpat/internal/noc"
 	"hdpat/internal/schemes"
 	"hdpat/internal/sim"
@@ -98,12 +97,12 @@ type Options struct {
 	// single-callback Observer field.
 	Hooks []iommu.RequestHook
 	// Metrics, when non-nil, has every component report into it
-	// (sim.*, noc.*, tlb.*, iommu.*, gpm.*, migrate.* series); the run's
+	// (sim.*, noc.*, tlb.*, iommu.*, gpm.* series); the run's
 	// final snapshot lands on Result.Metrics. Nil costs one branch per
 	// instrumented hot-path site.
 	Metrics *metrics.Registry
 	// Trace, when non-nil, receives cycle-domain spans (IOMMU walks and
-	// queueing, NoC hops, migrations). Tracing only observes; a traced run
+	// queueing, NoC hops). Tracing only observes; a traced run
 	// is cycle-for-cycle identical to an untraced one.
 	Trace *trace.Tracer
 	// Attribution, when non-nil, attaches the per-request latency ledger
@@ -111,23 +110,13 @@ type Options struct {
 	// with or without Trace; like the other observers it never perturbs
 	// results.
 	Attribution *attr.Config
-	// Validate cross-checks every remote translation result against the
-	// global page table and records mismatches in Result.ValidationErrors.
-	// Intended for tests; adds a lookup per remote translation. Do not
-	// combine with Migration: in-flight completions legitimately race the
-	// table repoint.
-	Validate bool
 	// Invariants attaches the internal/check invariant checker through the
 	// observation seams (request hook, trace sink, sampler, link visitor):
 	// conservation violations come back as errors naming the invariant,
-	// request and cycle, joined onto the run error. Results are
-	// byte-identical with the checker on or off. With Migration enabled the
-	// per-translation PFN check is skipped (legitimate races); the
-	// conservation checks still run.
+	// request and cycle, joined onto the run error. Every remote
+	// translation is also checked against the global page table
+	// (xlat.bad-pfn). Results are byte-identical with the checker on or off.
 	Invariants bool
-	// Migration, when non-nil, enables the page-migration extension with
-	// the given policy (see internal/migrate).
-	Migration *migrate.Config
 	// Routing, when non-empty, overrides cfg.NoC.Routing for this run:
 	// noc.RoutingXY (dimension-ordered, minimal) or noc.RoutingDeflect
 	// (bufferless deflection). Validated with the configuration.
@@ -162,13 +151,10 @@ type Result struct {
 	AuxLen   int
 	AuxStats tlb.Stats
 
-	// ValidationErrors holds translation-correctness violations found when
-	// Options.Validate is set (nil/empty means every remote translation
-	// returned the frame the global page table maps).
-	ValidationErrors []string
-
-	// Migration reports page-migration activity when the extension is on.
-	Migration migrate.Stats
+	// Migration is always zero: the simulator has no page migration. The
+	// field stays because hdpatbench/digest.go prints it and every committed
+	// digest and hdpatd artifact contains it.
+	Migration MigrationStats
 
 	// Metrics is the run's final registry snapshot when Options.Metrics was
 	// set (nil otherwise).
@@ -177,6 +163,16 @@ type Result struct {
 	// Breakdown is the per-request latency attribution when
 	// Options.Attribution was set (nil otherwise).
 	Breakdown *attr.Breakdown
+}
+
+// MigrationStats is the shape of Result.Migration, kept field for field so
+// digests and artifacts stay byte-identical.
+type MigrationStats struct {
+	Migrations   uint64
+	BytesMoved   uint64
+	Dropped      uint64
+	SkippedShare uint64
+	SkippedBusy  uint64
 }
 
 // RemoteBySource aggregates per-source remote translation counts.
@@ -426,28 +422,8 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	var validationErrs []string
-	if opts.Validate {
-		scheme = &check.Scheme{
-			Inner: scheme, Global: placement.Global(),
-			Report: func(v check.Violation) { validationErrs = append(validationErrs, v.Detail) },
-		}
-	}
-	if chk != nil && opts.Migration == nil {
-		scheme = &check.Scheme{
-			Inner: scheme, Global: placement.Global(),
-			Report: chk.Record,
-			Now:    func() uint64 { return uint64(eng.Now()) },
-		}
-	}
-	var migrator *migrate.Manager
-	if opts.Migration != nil {
-		migrator = migrate.New(fabric, *opts.Migration)
-		migrator.Trace = tr
-		if reg != nil {
-			migrator.AttachMetrics(reg)
-		}
-		scheme = migrator.Wrap(scheme)
+	if chk != nil {
+		scheme = &check.Scheme{Inner: scheme, Global: placement.Global(), Checker: chk, Eng: eng}
 	}
 
 	// Wire GPMs. The request pool is per run, shared across GPMs: sharing
@@ -502,12 +478,8 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 		Scheme: scheme.Name(), Benchmark: opts.Benchmark.Abbr,
 		IOMMU: io.Stats, NoC: network.Stats,
 		QueueSeries: io.QueueSeries, ServedSeries: served,
-		TotalOps:         totalOps,
-		Events:           eng.Processed,
-		ValidationErrors: validationErrs,
-	}
-	if migrator != nil {
-		res.Migration = migrator.Stats
+		TotalOps: totalOps,
+		Events:   eng.Processed,
 	}
 	// Structure-of-arrays assembly at exact capacity: one allocation per
 	// parallel column, no append growth — at 900+ GPMs the growth slack of

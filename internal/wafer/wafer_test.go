@@ -140,7 +140,8 @@ func TestDeterminism(t *testing.T) {
 
 // Every scheme must return the frame the global page table maps, for every
 // remote translation it serves — peer caches, redirection, prefetch and
-// owner walks included.
+// owner walks included. The invariant checker's xlat.bad-pfn check turns a
+// wrong frame into a run error.
 func TestTranslationCorrectnessAllSchemes(t *testing.T) {
 	for _, scheme := range SchemeNames() {
 		scheme := scheme
@@ -151,14 +152,10 @@ func TestTranslationCorrectnessAllSchemes(t *testing.T) {
 			}
 			res, err := Run(cfg, Options{
 				Scheme: scheme, Benchmark: mustBench(t, "SPMV"),
-				OpsBudget: 32, Seed: 2, Validate: true,
+				OpsBudget: 32, Seed: 2, Invariants: true,
 			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if len(res.ValidationErrors) > 0 {
-				t.Fatalf("%d wrong translations, first: %s",
-					len(res.ValidationErrors), res.ValidationErrors[0])
 			}
 			if res.RemoteRequests() == 0 {
 				t.Skip("no remote translations to validate")

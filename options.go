@@ -78,8 +78,7 @@ func WithConfig(f func(*Config)) Option {
 
 // WithIOMMU registers a hook that adjusts the IOMMU parameters after the
 // scheme's defaults (and any WithConfig hooks) are applied — prefetch
-// degree, redirection table size, walker count. It replaces the old
-// SimulateWithIOMMU entry point.
+// degree, redirection table size, walker count.
 func WithIOMMU(f func(*IOMMUConfig)) Option {
 	return func(rc *runConfig) {
 		if f != nil {
@@ -164,7 +163,7 @@ func WithMonitor(m *BatchMonitor) Option {
 
 // WithMetrics has every component of the simulated system report into reg:
 // counters, gauges and log2 histograms under the sim.*, noc.*, tlb.*,
-// iommu.*, gpm.*, migrate.* and run.* series documented in
+// iommu.*, gpm.* and run.* series documented in
 // docs/observability.md. Single runs write into reg live (scrape it while
 // the simulation executes via ServeMetrics); batch entry points give every
 // run a fresh private registry — so concurrent runs never share series —
@@ -208,7 +207,7 @@ func WithInvariants() Option {
 }
 
 // WithTrace streams cycle-domain spans (IOMMU walks and queueing, NoC link
-// hops, page migrations) to w as Chrome trace_event JSON, loadable in
+// hops, request lifecycles) to w as Chrome trace_event JSON, loadable in
 // chrome://tracing or Perfetto. In a batch every run shares w, with events
 // tagged by the run's submission index. Tracing only observes — a traced
 // simulation is cycle-for-cycle identical to an untraced one — but emits
