@@ -40,7 +40,7 @@ func RunBatch(ctx context.Context, cfg Config, specs []RunSpec, opts ...Option) 
 	rc := newRunConfig(opts)
 	var batchTracer *trace.Tracer
 	if rc.traceW != nil {
-		batchTracer = trace.New(rc.traceW, rc.traceFormat)
+		batchTracer = trace.New(rc.traceW)
 	}
 	tasks := make([]runner.Task, len(specs))
 	for i, spec := range specs {
@@ -67,12 +67,6 @@ func RunBatch(ctx context.Context, cfg Config, specs []RunSpec, opts ...Option) 
 		}
 	}
 	pool := &runner.Pool{Workers: rc.workers, Metrics: rc.metrics}
-	if rc.progress != nil {
-		pool.Progress = func(done, total int, _ runner.Outcome) { rc.progress(done, total) }
-	}
-	if rc.monitor != nil {
-		rc.monitor.pool.Store(pool)
-	}
 	outs := pool.Run(ctx, tasks)
 	results := make([]RunResult, len(specs))
 	for i, o := range outs {

@@ -66,21 +66,22 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunBatchCancellation cancels a batch after its first run settles and
-// expects every later run to carry the context error.
+// TestRunBatchCancellation cancels a batch as its second run starts and
+// expects that run and every later one to carry the context error.
 func TestRunBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	specs := crossSpecs()
-	// One worker serialises the schedule: run 0 completes, the progress
-	// callback cancels, and every later run settles with ctx's error before
-	// it starts simulating.
+	// One worker serialises the schedule: run 0 completes, resolving run
+	// 1's options cancels, and every later run settles with ctx's error
+	// before it starts simulating.
 	runs, err := hdpat.RunBatch(ctx, batchCfg(), specs,
 		hdpat.WithWorkers(1),
-		hdpat.WithProgress(func(done, total int) {
-			if done == 1 {
+		hdpat.WithPerRun(func(i int) []hdpat.Option {
+			if i == 1 {
 				cancel()
 			}
+			return nil
 		}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch error = %v, want context.Canceled", err)
@@ -238,68 +239,5 @@ func TestOptionOverrides(t *testing.T) {
 	}
 	if viaOpts.IOMMU.Prefetches == 0 {
 		t.Error("IOMMU hook had no effect")
-	}
-}
-
-// TestBatchMonitor checks WithMonitor exposes live queued/inflight/done
-// accounting while a batch runs and settles to a complete snapshot.
-func TestBatchMonitor(t *testing.T) {
-	cfg := batchCfg()
-	specs := crossSpecs()
-
-	var mon hdpat.BatchMonitor
-	if s := mon.Snapshot(); s != (hdpat.BatchSnapshot{}) {
-		t.Fatalf("unattached monitor snapshot = %+v, want zero", s)
-	}
-
-	// Watch the batch from a separate goroutine like a progress endpoint
-	// would; record whether any poll saw the batch genuinely mid-flight.
-	stop := make(chan struct{})
-	sawPartial := make(chan bool, 1)
-	go func() {
-		partial := false
-		for {
-			select {
-			case <-stop:
-				sawPartial <- partial
-				return
-			default:
-			}
-			s := mon.Snapshot()
-			if s.Total > 0 && s.Done < s.Total {
-				partial = true
-			}
-		}
-	}()
-
-	runs, err := hdpat.RunBatch(context.Background(), cfg, specs,
-		hdpat.WithWorkers(2), hdpat.WithMonitor(&mon))
-	close(stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range runs {
-		if r.Err != nil {
-			t.Fatalf("%s/%s: %v", r.Spec.Scheme, r.Spec.Benchmark, r.Err)
-		}
-	}
-	final := mon.Snapshot()
-	want := hdpat.BatchSnapshot{Done: len(specs), Total: len(specs)}
-	if final != want {
-		t.Errorf("final snapshot = %+v, want %+v", final, want)
-	}
-	if !<-sawPartial {
-		t.Log("no poll observed a mid-flight batch (fast machine); accounting still verified at settle")
-	}
-
-	// CompareAll re-points the same monitor at its batch; counts accumulate.
-	if _, err := hdpat.CompareAll(context.Background(), cfg,
-		[]string{"hdpat"}, []string{"FIR"},
-		hdpat.WithOpsBudget(16), hdpat.WithSeed(1), hdpat.WithMonitor(&mon)); err != nil {
-		t.Fatal(err)
-	}
-	after := mon.Snapshot()
-	if after.Total != 2 || after.Done != 2 {
-		t.Errorf("monitor after CompareAll = %+v, want 2 done of 2", after)
 	}
 }

@@ -2,15 +2,10 @@
 // stage breakdowns (admission / pwq / walk / wire with p50/p95/p99), the
 // scheme-vs-baseline delta table, and per-link NoC heatmap CSVs.
 //
-// Live mode (default) runs scheme and baseline under WithAttribution and
-// reports the comparison:
+// It runs scheme and baseline under WithAttribution and reports the
+// comparison:
 //
 //	report -scheme hdpat -bench SPMV,PR -o results/report
-//
-// Replay mode rebuilds a breakdown from a saved JSONL trace (WithTraceJSONL
-// or cmd/experiments -trace) without re-simulating:
-//
-//	report -trace run.jsonl -run 0 -o results/report
 //
 // Artifacts land in the -o directory: report.md plus one
 // heatmap-<scheme>-<benchmark>.csv per attributed run. With -o "" everything
@@ -38,30 +33,21 @@ func main() {
 	mesh := flag.Int("mesh", 0, "square mesh side override (0 = config default)")
 	routing := flag.String("routing", "", "NoC routing policy (\"\" = xy, or \"deflect\"; heatmaps gain live deflection columns)")
 	outDir := flag.String("o", "results/report", "output directory (\"\" = stdout)")
-	traceFile := flag.String("trace", "", "replay a saved JSONL trace instead of simulating")
-	runIdx := flag.Int("run", -1, "batch run index to replay from the trace (-1 = all)")
 	flag.Parse()
 
-	if err := run(*scheme, *bench, *budget, *seed, *mesh, *routing, *outDir, *traceFile, *runIdx); err != nil {
+	if err := run(*scheme, *bench, *budget, *seed, *mesh, *routing, *outDir); err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scheme, bench string, budget int, seed int64, mesh int, routing, outDir, traceFile string, runIdx int) error {
+// run simulates the scheme/baseline pair per benchmark with attribution on
+// and renders breakdowns, deltas and heatmaps.
+func run(scheme, bench string, budget int, seed int64, mesh int, routing, outDir string) error {
 	out, err := newEmitter(outDir)
 	if err != nil {
 		return err
 	}
-	if traceFile != "" {
-		return replay(out, traceFile, runIdx)
-	}
-	return live(out, scheme, bench, budget, seed, mesh, routing)
-}
-
-// live runs the scheme/baseline pair per benchmark with attribution on and
-// renders breakdowns, deltas and heatmaps.
-func live(out *emitter, scheme, bench string, budget int, seed int64, mesh int, routing string) error {
 	cfg := hdpat.DefaultConfig()
 	if mesh > 0 {
 		cfg.MeshW, cfg.MeshH = mesh, mesh
@@ -99,31 +85,6 @@ func live(out *emitter, scheme, bench string, budget int, seed int64, mesh int, 
 				return err
 			}
 		}
-	}
-	return out.close(md)
-}
-
-// replay rebuilds a breakdown from a JSONL trace stream and renders it.
-func replay(out *emitter, traceFile string, runIdx int) error {
-	f, err := os.Open(traceFile)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	b, err := attr.ReplayJSONL(f, runIdx)
-	if err != nil {
-		return err
-	}
-	b.Scheme = "replay"
-	b.Benchmark = filepath.Base(traceFile)
-	md, err := out.create("report.md")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(md, "# Latency attribution (replayed from %s)\n\n", traceFile)
-	b.WriteMarkdown(md)
-	if err := out.write("heatmap.csv", b.HeatmapCSV()); err != nil {
-		return err
 	}
 	return out.close(md)
 }

@@ -13,6 +13,7 @@
 package hdpat_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -72,32 +73,92 @@ func digestResult(t *testing.T, res hdpat.Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// goldenRuns produces the scheme x benchmark digest map. Each run uses the
-// Table I configuration with a small per-CU ops budget and a fixed seed;
-// attribution is enabled so the Breakdown is part of the contract.
-func goldenRuns(t *testing.T) map[string]string {
+// goldenMatrix runs every scheme on every golden benchmark as one parallel
+// batch — the Table I configuration with a small per-CU ops budget, a fixed
+// seed and attribution on, so the Breakdown is part of the contract — and
+// returns the results keyed "scheme/benchmark". Batches are deterministic,
+// so the digests equal those of serial Simulate calls.
+func goldenMatrix(t *testing.T, opts ...hdpat.Option) map[string]hdpat.Result {
 	t.Helper()
-	out := make(map[string]string)
-	cfg := hdpat.DefaultConfig()
+	var specs []hdpat.RunSpec
 	for _, scheme := range hdpat.Schemes() {
 		for _, bench := range goldenBenchmarks {
-			res, err := hdpat.Simulate(cfg, hdpat.RunSpec{Scheme: scheme, Benchmark: bench},
-				hdpat.WithOpsBudget(12), hdpat.WithSeed(7), hdpat.WithAttribution())
-			if err != nil {
-				t.Fatalf("%s/%s: %v", scheme, bench, err)
-			}
-			out[scheme+"/"+bench] = digestResult(t, res)
+			specs = append(specs, hdpat.RunSpec{Scheme: scheme, Benchmark: bench})
 		}
 	}
+	opts = append([]hdpat.Option{hdpat.WithOpsBudget(12), hdpat.WithSeed(7), hdpat.WithAttribution()}, opts...)
+	runs, err := hdpat.RunBatch(context.Background(), hdpat.DefaultConfig(), specs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]hdpat.Result, len(runs))
+	for _, r := range runs {
+		key := r.Spec.Scheme + "/" + r.Spec.Benchmark
+		if r.Err != nil {
+			t.Fatalf("%s: %v", key, r.Err)
+		}
+		out[key] = r.Result
+	}
 	return out
+}
+
+// checkGolden digests results and compares them against the golden file at
+// path, or rewrites the file when update is set. updateFlag names the
+// command-line flag that sets update, for the error messages.
+func checkGolden(t *testing.T, path string, update bool, updateFlag string, results map[string]hdpat.Result) {
+	t.Helper()
+	got := make(map[string]string, len(results))
+	for k, res := range results {
+		got[k] = digestResult(t, res)
+	}
+	if update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d digests to %s", len(got), path)
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -%s): %v", updateFlag, err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if got[k] == "" {
+			t.Errorf("%s: run missing from matrix", k)
+			continue
+		}
+		if got[k] != want[k] {
+			t.Errorf("%s: digest %s != golden %s (output changed)", k, got[k][:12], want[k][:12])
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s: not in golden file (regenerate with -%s)", k, updateFlag)
+		}
+	}
 }
 
 // TestGoldenDigestsDeflect pins the bufferless deflection router's outputs:
 // the same scheme matrix as the XY goldens, run under WithRouting("deflect"),
 // against its own digest file. Alongside the byte contract it asserts the
-// routing laws directly on every run: HopsTotal >= ManhattanTotal (paths may
-// be non-minimal but never shorter than Manhattan) and ByteHops consistency
-// with per-hop accrual.
+// routing law HopsTotal >= ManhattanTotal on every run: paths may be
+// non-minimal but never shorter than Manhattan.
 //
 // Regenerate (only when an intentional behaviour change is made) with:
 //
@@ -106,110 +167,19 @@ func TestGoldenDigestsDeflect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix is not short")
 	}
-	got := make(map[string]string)
-	cfg := hdpat.DefaultConfig()
-	for _, scheme := range hdpat.Schemes() {
-		for _, bench := range goldenBenchmarks {
-			res, err := hdpat.Simulate(cfg, hdpat.RunSpec{Scheme: scheme, Benchmark: bench},
-				hdpat.WithOpsBudget(12), hdpat.WithSeed(7), hdpat.WithAttribution(),
-				hdpat.WithRouting("deflect"))
-			if err != nil {
-				t.Fatalf("%s/%s: %v", scheme, bench, err)
-			}
-			if res.NoC.HopsTotal < res.NoC.ManhattanTotal {
-				t.Errorf("%s/%s: HopsTotal %d below Manhattan lower bound %d",
-					scheme, bench, res.NoC.HopsTotal, res.NoC.ManhattanTotal)
-			}
-			got[scheme+"/"+bench] = digestResult(t, res)
+	results := goldenMatrix(t, hdpat.WithRouting("deflect"))
+	for k, res := range results {
+		if res.NoC.HopsTotal < res.NoC.ManhattanTotal {
+			t.Errorf("%s: HopsTotal %d below Manhattan lower bound %d",
+				k, res.NoC.HopsTotal, res.NoC.ManhattanTotal)
 		}
 	}
-	if *updateGoldenDeflect {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenDeflectPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d digests to %s", len(got), goldenDeflectPath)
-		return
-	}
-	data, err := os.ReadFile(goldenDeflectPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden-deflect): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if got[k] == "" {
-			t.Errorf("%s: run missing from matrix", k)
-			continue
-		}
-		if got[k] != want[k] {
-			t.Errorf("%s: digest %s != golden %s (output changed)", k, got[k][:12], want[k][:12])
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			t.Errorf("%s: not in golden file (regenerate with -update-golden-deflect)", k)
-		}
-	}
+	checkGolden(t, goldenDeflectPath, *updateGoldenDeflect, "update-golden-deflect", results)
 }
 
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden matrix is not short")
 	}
-	got := goldenRuns(t)
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d digests to %s", len(got), goldenPath)
-		return
-	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if got[k] == "" {
-			t.Errorf("%s: run missing from matrix", k)
-			continue
-		}
-		if got[k] != want[k] {
-			t.Errorf("%s: digest %s != golden %s (output changed)", k, got[k][:12], want[k][:12])
-		}
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			t.Errorf("%s: not in golden file (regenerate with -update-golden)", k)
-		}
-	}
+	checkGolden(t, goldenPath, *updateGolden, "update-golden", goldenMatrix(t))
 }

@@ -48,7 +48,6 @@ import (
 	"hdpat/internal/config"
 	"hdpat/internal/metrics"
 	"hdpat/internal/runner"
-	"hdpat/internal/sim"
 	"hdpat/internal/trace"
 	"hdpat/internal/wafer"
 	"hdpat/internal/workload"
@@ -203,7 +202,6 @@ func simulate(ctx context.Context, cfg Config, spec RunSpec, rc *runConfig) (Res
 		Benchmark:  b,
 		OpsBudget:  spec.OpsBudget,
 		Seed:       spec.Seed,
-		MaxCycles:  sim.VTime(rc.maxCycles),
 		Metrics:    rc.metrics,
 		Invariants: rc.invariants,
 		Routing:    rc.routing,
@@ -215,7 +213,7 @@ func simulate(ctx context.Context, cfg Config, spec RunSpec, rc *runConfig) (Res
 	if rc.tracer != nil {
 		wopts.Trace = rc.tracer // batch child: the batch owns the stream
 	} else if rc.traceW != nil {
-		owned = trace.New(rc.traceW, rc.traceFormat)
+		owned = trace.New(rc.traceW)
 		wopts.Trace = owned
 	}
 	res, err := wafer.RunContext(ctx, cfg, wopts)

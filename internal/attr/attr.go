@@ -1,6 +1,6 @@
 // Package attr is the per-request latency attribution layer: a lifecycle
 // ledger that stitches the tracer's typed spans (request, queue, walk, hop)
-// into complete translation timelines at simulation time — no post-hoc JSONL
+// into complete translation timelines at simulation time — no post-hoc trace
 // parsing — and reduces them online into per-stage cycle breakdowns,
 // per-link NoC heatmaps and sampled time series.
 //
@@ -269,7 +269,6 @@ type Collector struct {
 	linkIdx   map[linkKey]int32
 	linkMsgs  []uint64
 	linkBytes []uint64
-	linkHop   []uint64 // sum of hop span durations (replay-mode busy proxy)
 	linkPrev  []uint64 // busy counter at last sweep
 	linkPeak  []uint64 // max per-window busy delta
 	linkFinal []uint64 // busy counter at the final probe sweep
@@ -387,7 +386,6 @@ func (c *Collector) OnHop(start, end uint64, fromX, fromY, toX, toY, size int, d
 	i := c.linkSlot(linkKey{fromX, fromY, dir})
 	c.linkMsgs[i]++
 	c.linkBytes[i] += uint64(size)
-	c.linkHop[i] += end - start
 	if deflected {
 		c.linkDefl[i]++
 	}
@@ -403,7 +401,6 @@ func (c *Collector) linkSlot(k linkKey) int32 {
 	c.linkIdx[k] = i
 	c.linkMsgs = append(c.linkMsgs, 0)
 	c.linkBytes = append(c.linkBytes, 0)
-	c.linkHop = append(c.linkHop, 0)
 	c.linkPrev = append(c.linkPrev, 0)
 	c.linkPeak = append(c.linkPeak, 0)
 	c.linkFinal = append(c.linkFinal, 0)
@@ -491,10 +488,8 @@ func (c *Collector) sweepLinks() uint64 {
 }
 
 // Finalize reduces the ledger into a Breakdown. cycles is the run length
-// (Result.Cycles), the denominator for link utilisation. With a live link
-// probe wired, Busy is the exact end-of-run occupancy; in replay mode
-// (no probe) Busy falls back to the sum of hop span durations, an upper
-// bound that includes the fixed hop latency.
+// (Result.Cycles), the denominator for link utilisation. Busy is the exact
+// end-of-run occupancy the link probe reports (zero with no probe wired).
 func (c *Collector) Finalize(scheme, benchmark string, cycles uint64) *Breakdown {
 	b := &Breakdown{
 		Scheme:     scheme,
@@ -524,11 +519,8 @@ func (c *Collector) Finalize(scheme, benchmark string, cycles uint64) *Breakdown
 		ls := LinkStat{
 			X: k.x, Y: k.y, Dir: k.dir,
 			Messages: c.linkMsgs[i], Bytes: c.linkBytes[i],
-			Busy:        c.linkHop[i], // replay-mode proxy, overwritten below
+			Busy:        c.linkFinal[i],
 			Deflections: c.linkDefl[i],
-		}
-		if c.linkProbe != nil {
-			ls.Busy = c.linkFinal[i]
 		}
 		if ls.Messages == 0 && ls.Busy == 0 {
 			continue
@@ -582,8 +574,7 @@ func (c *Collector) Finalize(scheme, benchmark string, cycles uint64) *Breakdown
 	c.open = nil
 	c.closed = nil
 	c.linkIdx = nil
-	c.linkMsgs, c.linkBytes, c.linkHop = nil, nil, nil
+	c.linkMsgs, c.linkBytes, c.linkDefl = nil, nil, nil
 	c.linkPrev, c.linkPeak, c.linkFinal = nil, nil, nil
-	c.linkDefl = nil
 	return b
 }

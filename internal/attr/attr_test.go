@@ -149,10 +149,6 @@ func TestHeatmapAndDirections(t *testing.T) {
 	if byDir["w"].Bytes != 32 || byDir["s"].Bytes != 16 || byDir["n"].Bytes != 8 {
 		t.Errorf("links = %v", byDir)
 	}
-	// Replay mode: busy falls back to hop span durations.
-	if byDir["e"].Busy != 80 {
-		t.Errorf("east busy proxy = %d, want 80", byDir["e"].Busy)
-	}
 	csv := b.HeatmapCSV()
 	if !strings.HasPrefix(csv, "x,y,dir,") || !strings.Contains(csv, ",deflections\n") {
 		t.Errorf("csv header: %q", csv)
@@ -260,63 +256,6 @@ func TestMarkdownRendering(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesLive: a breakdown rebuilt from a saved JSONL trace agrees
-// with the live collector that saw the same spans.
-func TestReplayMatchesLive(t *testing.T) {
-	live := NewCollector(Config{})
-	var buf bytes.Buffer
-	tr := trace.Attach(trace.New(&buf, trace.JSONL), live)
-	tr.QueueSpan("iommu.admission", 100, 110, 1)
-	tr.QueueSpan("iommu.pwq", 110, 150, 1)
-	tr.WalkSpan(150, 250, 1, 0x42)
-	tr.HopSpan(250, 290, 0, 0, 1, 0, 64, false)
-	tr.RequestSpan(80, 300, 1, 2, 5)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	replayed, err := ReplayJSONL(&buf, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := live.Finalize("", "", 300)
-	for _, s := range append(append([]string{}, StageOrder...), StageTotal) {
-		if replayed.Stage(s).Sum != want.Stage(s).Sum {
-			t.Errorf("stage %s: replay %d != live %d", s, replayed.Stage(s).Sum, want.Stage(s).Sum)
-		}
-	}
-	if replayed.Requests != 1 {
-		t.Errorf("replay = %+v", replayed)
-	}
-	if replayed.Sources["proactive"] != 1 {
-		t.Errorf("replay sources = %v", replayed.Sources)
-	}
-	if len(replayed.Links) != 1 || replayed.Links[0].Bytes != 64 {
-		t.Errorf("replay links = %+v", replayed.Links)
-	}
-	if replayed.Cycles != 300 {
-		t.Errorf("replay cycles = %d", replayed.Cycles)
-	}
-}
-
-// TestReplayRunFilter: batch traces replay one child at a time.
-func TestReplayRunFilter(t *testing.T) {
-	var buf bytes.Buffer
-	tr := trace.New(&buf, trace.JSONL)
-	tr.Run(1).RequestSpan(0, 100, 1, 0, 0)
-	tr.Run(2).RequestSpan(0, 200, 2, 0, 0)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReplayJSONL(bytes.NewReader(buf.Bytes()), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Requests != 1 || b.Stage(StageTotal).Sum != 200 {
-		t.Errorf("filtered replay = %+v", b)
-	}
-}
-
 // A queue or walk span arriving after its request completed (the dispatch
 // skip path emits residency spans for requests answered elsewhere) must be
 // counted late — never stitched into the finished breakdown and never left
@@ -377,7 +316,7 @@ func TestFinalizeReleasesLedger(t *testing.T) {
 	if c.open != nil || c.closed != nil {
 		t.Error("request ledger maps retained after Finalize")
 	}
-	if c.linkIdx != nil || c.linkMsgs != nil || c.linkBytes != nil || c.linkHop != nil ||
+	if c.linkIdx != nil || c.linkMsgs != nil || c.linkBytes != nil || c.linkDefl != nil ||
 		c.linkPrev != nil || c.linkPeak != nil || c.linkFinal != nil {
 		t.Error("per-link SoA columns retained after Finalize")
 	}

@@ -94,10 +94,6 @@ func (v Violation) Error() string {
 // Is matches ErrInvariant, so errors.Is works through errors.Join.
 func (v Violation) Is(target error) bool { return target == ErrInvariant }
 
-// LinkVisitor receives one directed link's coordinates, direction label and
-// accumulated busy cycles (the shape of noc.Mesh.VisitLinks).
-type LinkVisitor func(x, y int, dir string, busy uint64)
-
 // Options parameterise a Checker.
 type Options struct {
 	// Window is the expected sampler period in cycles; 0 disables the
@@ -147,7 +143,7 @@ type Checker struct {
 	hopDefl    uint64
 	nextSample uint64
 
-	linkProbe func(LinkVisitor)
+	linkProbe func(attr.LinkVisitor)
 
 	violations []Violation
 	nViolated  uint64
@@ -248,7 +244,7 @@ func (c *Checker) Sample(at uint64) {
 
 // Probes wires the end-of-run link occupancy walk (noc.Mesh.VisitLinks
 // adapted). May be nil.
-func (c *Checker) Probes(links func(LinkVisitor)) {
+func (c *Checker) Probes(links func(attr.LinkVisitor)) {
 	c.linkProbe = links
 }
 

@@ -214,7 +214,7 @@ func TestCatchesInexactBreakdown(t *testing.T) {
 
 func TestCatchesOverfullLink(t *testing.T) {
 	c := New(Options{})
-	c.Probes(func(v LinkVisitor) {
+	c.Probes(func(v attr.LinkVisitor) {
 		v(1, 1, "e", 20_000) // busier than the run is long
 	})
 	f := cleanFinal(0, 0, 0, 0)

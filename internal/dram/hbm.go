@@ -53,6 +53,3 @@ func (h *HBM) Access(now sim.VTime, size int) (done sim.VTime) {
 	_, end := h.line.Occupy(now, hold)
 	return end + h.cfg.AccessLatency
 }
-
-// Utilization returns busy cycles so far (for stats).
-func (h *HBM) Utilization() sim.VTime { return h.line.BusyCycles }

@@ -98,7 +98,7 @@ func Fig2(s *Session) (Table, error) {
 		parSp = append(parSp, ps)
 		t.Addf(bench, ls, ps)
 	}
-	t.Addf("MEAN", mean(latSp), mean(parSp))
+	t.Addf("MEAN", stats.Mean(latSp), stats.Mean(parSp))
 	t.Note("paper: 5.45x (ideal latency) and 4.96x (ideal parallelism) mean speedup")
 	return t, nil
 }
@@ -145,7 +145,7 @@ func Fig4(s *Session) (Table, error) {
 			return t, err
 		}
 		vals := res.QueueSeries.Values()
-		t.Addf(sys.name, res.QueueSeries.Peak(), mean(vals), res.QueueSeries.Sparkline(48))
+		t.Addf(sys.name, res.QueueSeries.Peak(), stats.Mean(vals), res.QueueSeries.Sparkline(48))
 	}
 	t.Note("paper: wafer-scale backlog is persistently high (~700 with a 4096 buffer); MCM stays low")
 	return t, nil
@@ -285,13 +285,16 @@ func Fig13(s *Session) (Table, error) {
 		cfg, _ := wafer.ConfigFor("baseline", config.Default())
 		cfg.WorkloadScale = scale
 		cfg.Name = fmt.Sprintf("fir-scale%d", scale)
-		res, err := s.run(cfg, "baseline", "FIR", wafer.Options{ServedWindow: window})
+		served := stats.NewCountSeries(window)
+		res, err := s.run(cfg, "baseline", "FIR", wafer.Options{
+			Hooks: []iommu.RequestHook{iommu.RequestHookFunc(
+				func(now sim.VTime, _ *xlat.Request) { served.Record(uint64(now), 1) })},
+		})
 		if err != nil {
 			return t, err
 		}
-		vals := res.ServedSeries.Values()
-		t.Addf(fmt.Sprintf("1/%d", scale), res.IOMMU.Requests, res.ServedSeries.Peak(),
-			mean(vals), res.ServedSeries.Sparkline(48))
+		t.Addf(fmt.Sprintf("1/%d", scale), res.IOMMU.Requests, served.Peak(),
+			stats.Mean(served.Values()), served.Sparkline(48))
 	}
 	t.Note("paper: similar request-rate shapes across sizes justify scaled-down footprints")
 	return t, nil

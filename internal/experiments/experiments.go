@@ -10,7 +10,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -185,7 +184,7 @@ func runKey(cfg config.System, scheme, bench string, opts wafer.Options) string 
 // sinks or series, which attach per-call state the cache cannot share).
 func plainRun(opts wafer.Options) bool {
 	return len(opts.Hooks) == 0 && opts.Metrics == nil && opts.Trace == nil &&
-		opts.Attribution == nil && opts.QueueWindow == 0 && opts.ServedWindow == 0
+		opts.Attribution == nil && opts.QueueWindow == 0
 }
 
 // execute performs one simulation with the session's defaults applied. It
@@ -376,31 +375,6 @@ func IDs() []string {
 }
 
 // --- shared helpers --------------------------------------------------------
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	logs := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logs += math.Log(x)
-	}
-	return math.Exp(logs / float64(len(xs)))
-}
 
 // sortedKeys returns map keys in stable order.
 func sortedKeys[M ~map[string]V, V any](m M) []string {

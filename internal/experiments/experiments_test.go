@@ -154,15 +154,6 @@ func TestCharacterisationFigures(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if mean([]float64{2, 4}) != 3 {
-		t.Error("mean")
-	}
-	if geomean([]float64{1, 4}) != 2 {
-		t.Error("geomean")
-	}
-	if geomean(nil) != 0 || mean(nil) != 0 {
-		t.Error("empty inputs")
-	}
 	if got := sortedKeys(map[string]int{"b": 1, "a": 2}); got[0] != "a" {
 		t.Errorf("sortedKeys = %v", got)
 	}

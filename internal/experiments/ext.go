@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hdpat/internal/config"
+	"hdpat/internal/stats"
 	"hdpat/internal/wafer"
 )
 
@@ -69,7 +70,7 @@ func ExtProbePolicy(s *Session) (Table, error) {
 	}
 	meanRow := []any{"MEAN"}
 	for i := range variants {
-		meanRow = append(meanRow, mean(sums[i]))
+		meanRow = append(meanRow, stats.Mean(sums[i]))
 	}
 	t.Addf(meanRow...)
 	t.Note("concurrent probes trade wasted walker work for latency; sequential saves traffic")
@@ -120,7 +121,7 @@ func ExtPushThreshold(s *Session) (Table, error) {
 	}
 	meanRow := []any{"MEAN"}
 	for i := range thresholds {
-		meanRow = append(meanRow, mean(sums[i]))
+		meanRow = append(meanRow, stats.Mean(sums[i]))
 	}
 	t.Addf(meanRow...)
 	t.Note("t=1 pushes every walk (more traffic, earlier coverage); high t starves the aux caches")
@@ -153,7 +154,7 @@ func ExtOwnerForward(s *Session) (Table, error) {
 		of = append(of, os)
 		t.Addf(bench, hs, os)
 	}
-	t.Addf("MEAN", mean(hd), mean(of))
+	t.Addf("MEAN", stats.Mean(hd), stats.Mean(of))
 	t.Note("owner forwarding exploits 48x8 distributed walkers but loses on hot partitions and")
 	t.Note("gives up the centralized management the zero-copy model assumes")
 	return t, nil

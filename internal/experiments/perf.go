@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"hdpat/internal/config"
+	"hdpat/internal/stats"
 	"hdpat/internal/wafer"
 	"hdpat/internal/xlat"
 )
@@ -32,8 +33,8 @@ func Fig14(s *Session) (Table, error) {
 	meanRow := []any{"MEAN"}
 	gmRow := []any{"GEOMEAN"}
 	for _, scheme := range schemesList {
-		meanRow = append(meanRow, mean(sums[scheme]))
-		gmRow = append(gmRow, geomean(sums[scheme]))
+		meanRow = append(meanRow, stats.Mean(sums[scheme]))
+		gmRow = append(gmRow, stats.GeoMean(sums[scheme]))
 	}
 	t.Addf(meanRow...)
 	t.Addf(gmRow...)
@@ -66,7 +67,7 @@ func Fig15(s *Session) (Table, error) {
 	}
 	meanRow := []any{"MEAN"}
 	for _, scheme := range ladder {
-		meanRow = append(meanRow, mean(sums[scheme]))
+		meanRow = append(meanRow, stats.Mean(sums[scheme]))
 	}
 	t.Addf(meanRow...)
 	t.Note("paper means: distributed 1.08x, cluster 1.13x, redirect 1.18x, prefetch 1.17x, all combined 1.57x;")
@@ -97,7 +98,7 @@ func Fig16(s *Session) (Table, error) {
 			sourcePct(res, xlat.SourceIOMMU),
 			off)
 	}
-	t.Addf("MEAN", "", "", "", "", mean(offloads))
+	t.Addf("MEAN", "", "", "", "", stats.Mean(offloads))
 	t.Note("paper: 42.1%% of translations offloaded from the IOMMU on average")
 	return t, nil
 }
@@ -130,7 +131,7 @@ func Fig17(s *Session) (Table, error) {
 		}
 		t.Addf(bench, bl, hl, n, tr)
 	}
-	t.Addf("MEAN", "", "", mean(norm), mean(traffic))
+	t.Addf("MEAN", "", "", stats.Mean(norm), stats.Mean(traffic))
 	t.Note("paper: 41%% average round-trip reduction; +0.82%% NoC traffic")
 	return t, nil
 }
@@ -174,7 +175,7 @@ func Fig18(s *Session) (Table, error) {
 		}
 		t.Addf(row...)
 	}
-	t.Addf("MEAN", mean(sums[1]), mean(sums[4]), mean(sums[8]))
+	t.Addf("MEAN", stats.Mean(sums[1]), stats.Mean(sums[4]), stats.Mean(sums[8]))
 	t.Note("paper means: 1.40x / 1.57x / 1.59x — saturating at 4-PTE delivery")
 	return t, nil
 }
@@ -204,7 +205,7 @@ func Fig19(s *Session) (Table, error) {
 		}
 		t.Addf(bench, rts, ts, ratio)
 	}
-	t.Addf("MEAN", "", "", mean(ratios))
+	t.Addf("MEAN", "", "", stats.Mean(ratios))
 	t.Note("paper: redirection table delivers 1.27x over the TLB variant")
 	return t, nil
 }

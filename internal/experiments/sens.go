@@ -5,6 +5,7 @@ import (
 
 	"hdpat/internal/area"
 	"hdpat/internal/config"
+	"hdpat/internal/stats"
 	"hdpat/internal/vm"
 	"hdpat/internal/wafer"
 )
@@ -60,7 +61,7 @@ func Fig20(s *Session) (Table, error) {
 				}
 			}
 		}
-		gb, gh := geomean(baseN), geomean(hdN)
+		gb, gh := stats.GeoMean(baseN), stats.GeoMean(hdN)
 		adv := 0.0
 		if gb > 0 {
 			adv = gh / gb
@@ -117,7 +118,7 @@ func Fig21(s *Session) (Table, error) {
 			}
 			sp = append(sp, results[1].Speedup(results[0]))
 		}
-		t.Addf(name, geomean(sp))
+		t.Addf(name, stats.GeoMean(sp))
 	}
 	t.Note("paper: 1.47-1.57x on AMD parts; larger-memory H100/H200 reach 2.52x/2.36x")
 	return t, nil
@@ -152,7 +153,7 @@ func Fig22(s *Session) (Table, error) {
 		sp = append(sp, v)
 		t.Addf(bench, v)
 	}
-	t.Addf("GEOMEAN", geomean(sp))
+	t.Addf("GEOMEAN", stats.GeoMean(sp))
 	t.Note("paper: geomean 1.49x on the larger wafer")
 	return t, nil
 }

@@ -99,15 +99,6 @@ func (ls *Layers) Home(l int, vpn uint64) Coord {
 	return ring[idx]
 }
 
-// Homes returns vpn's caching GPM in every layer, innermost first.
-func (ls *Layers) Homes(vpn uint64) []Coord {
-	out := make([]Coord, ls.C)
-	for l := 0; l < ls.C; l++ {
-		out[l] = ls.Home(l, vpn)
-	}
-	return out
-}
-
 // NearestHop returns, for a requester at c, the minimum Manhattan distance to
 // any of vpn's per-layer homes; used in tests to validate the rotation
 // property ("there is always a nearby chiplet").

@@ -152,18 +152,6 @@ func TestRunEmptyBatch(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	outs := []Outcome{
-		{Result: wafer.Result{Cycles: 100}, Wall: time.Millisecond},
-		{Err: errors.New("x"), Wall: 2 * time.Millisecond},
-		{Result: wafer.Result{Cycles: 50}, Wall: time.Millisecond},
-	}
-	s := Summarize(outs)
-	if s.Cycles != 150 || s.Errors != 1 || s.Wall != 4*time.Millisecond {
-		t.Errorf("summary = %+v", s)
-	}
-}
-
 func TestSnapshotTracksBatchState(t *testing.T) {
 	if s := (&Pool{}).Snapshot(); s != (Snapshot{}) {
 		t.Errorf("fresh pool snapshot = %+v, want zero", s)

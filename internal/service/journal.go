@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -60,10 +61,15 @@ func jobDir(root, id string) string { return filepath.Join(root, "jobs", id) }
 // journalPath returns the journal file path for a job directory.
 func journalPath(dir string) string { return filepath.Join(dir, "journal.jsonl") }
 
-// openJournal opens (creating if needed) the append handle for a job.
+// openJournal opens (creating if needed) the append handle for a job. A
+// torn final line left by a kill is trimmed first, so the next entry starts
+// on a line of its own instead of fusing onto the fragment.
 func openJournal(root, id string) (*journal, error) {
 	dir := jobDir(root, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("service: journal: %w", err)
+	}
+	if err := trimTornTail(journalPath(dir)); err != nil {
 		return nil, fmt.Errorf("service: journal: %w", err)
 	}
 	f, err := os.OpenFile(journalPath(dir), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -71,6 +77,35 @@ func openJournal(root, id string) (*journal, error) {
 		return nil, fmt.Errorf("service: journal: %w", err)
 	}
 	return &journal{f: f}, nil
+}
+
+// trimTornTail drops a final line that lacks its newline. A fragment that
+// is nonetheless a complete JSON entry only lost its newline, so it is
+// terminated instead of dropped.
+func trimTornTail(path string) error {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if len(data) == 0 || data[len(data)-1] == '\n' {
+		return nil
+	}
+	keep := bytes.LastIndexByte(data, '\n') + 1
+	if json.Valid(data[keep:]) {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		_, err = f.Write([]byte{'\n'})
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	return os.Truncate(path, int64(keep))
 }
 
 // append writes one entry and syncs it to disk.
@@ -115,12 +150,15 @@ type journalState struct {
 	// timeline is the stored wall-clock trace digest from the terminal
 	// entry, when one was persisted.
 	timeline string
+	// corrupt lists the 1-based numbers of unparseable lines other than
+	// the final one.
+	corrupt []int
 }
 
-// readJournal replays one job's journal file. Lines that fail to parse
-// (e.g. a torn final write from a kill) are skipped: every complete line
-// before them still counts, which is exactly the run-boundary granularity
-// resume wants.
+// readJournal replays one job's journal file. An unparseable final line is
+// a torn write from a kill and is ignored: every complete line before it
+// still counts, which is exactly the run-boundary granularity resume wants.
+// Any other unparseable line is skipped too, but reported in corrupt.
 func readJournal(path string) (journalState, error) {
 	st := journalState{completed: make(map[int]string)}
 	f, err := os.Open(path)
@@ -130,10 +168,13 @@ func readJournal(path string) (journalState, error) {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	line := 0
 	for sc.Scan() {
+		line++
 		var e journalEntry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			continue // torn tail write: ignore
+			st.corrupt = append(st.corrupt, line)
+			continue
 		}
 		switch e.T {
 		case evAccepted:
@@ -157,6 +198,9 @@ func readJournal(path string) (journalState, error) {
 			st.terminal = evCancelled
 			st.timeline = e.Timeline
 		}
+	}
+	if n := len(st.corrupt); n > 0 && st.corrupt[n-1] == line {
+		st.corrupt = st.corrupt[:n-1] // torn tail write from a kill
 	}
 	return st, sc.Err()
 }

@@ -317,7 +317,12 @@ func (s *Service) recover() error {
 		}
 		return ordered[a].id < ordered[b].id
 	})
+	corrupt := s.reg.Counter("service.journal_corrupt_lines")
 	for _, st := range ordered {
+		for _, line := range st.corrupt {
+			s.log.Warn("skipping unparseable journal line", "job_id", st.id, "line", line)
+		}
+		corrupt.Add(uint64(len(st.corrupt)))
 		if got := st.spec.ID(); got != st.id {
 			s.log.Warn("skipping job dir: spec hash mismatch", "job_id", st.id, "hashed", got)
 			continue

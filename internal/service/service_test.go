@@ -485,6 +485,34 @@ func TestRunErrorFailsJob(t *testing.T) {
 // entries) and resumed by a fresh service produces artifacts byte-identical
 // (same SHA-256 set) to the same sweep run uninterrupted, and the
 // already-completed runs are not re-executed.
+// interruptSweep submits spec to a service in dir whose run function lets
+// allow runs complete and blocks the next one, then tears the service down
+// (the "kill"): the job's journal holds allow run entries and no terminal
+// entry.
+func interruptSweep(t *testing.T, dir string, spec JobSpec, allow int64) {
+	t.Helper()
+	var executed atomic.Int64
+	blocked := make(chan struct{})
+	var once sync.Once
+	svc := open(t, dir, func(ctx context.Context, s JobSpec, p Point, reg *metrics.Registry) (wafer.Result, error) {
+		if executed.Add(1) > allow {
+			once.Do(func() { close(blocked) })
+			<-ctx.Done()
+			return wafer.Result{}, ctx.Err()
+		}
+		return fakeRun(ctx, s, p, reg)
+	})
+	if _, _, err := svc.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-blocked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run function never reached the gate")
+	}
+	svc.Close() // kill: no terminal journal entry
+}
+
 func TestKillAndRestartResumesSweep(t *testing.T) {
 	spec := sweepSpec()
 	total := len(spec.Points())
@@ -502,27 +530,7 @@ func TestKillAndRestartResumesSweep(t *testing.T) {
 	// Interrupted: the run function blocks after allowBeforeKill runs, then
 	// the service is torn down (the "kill").
 	dir := t.TempDir()
-	var executed1 atomic.Int64
-	blocked := make(chan struct{})
-	var once sync.Once
-	gated := func(ctx context.Context, s JobSpec, p Point, reg *metrics.Registry) (wafer.Result, error) {
-		if executed1.Add(1) > allowBeforeKill {
-			once.Do(func() { close(blocked) })
-			<-ctx.Done()
-			return wafer.Result{}, ctx.Err()
-		}
-		return fakeRun(ctx, s, p, reg)
-	}
-	svc1 := open(t, dir, gated)
-	if _, _, err := svc1.Submit(spec); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-blocked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("run function never reached the gate")
-	}
-	svc1.Close() // kill: no terminal journal entry
+	interruptSweep(t, dir, spec, allowBeforeKill)
 
 	// Restart: a fresh service over the same dir resumes the sweep.
 	var executed2 atomic.Int64
@@ -582,26 +590,7 @@ func TestResumeRerunsCorruptRunObject(t *testing.T) {
 	ctrl.Close()
 
 	dir := t.TempDir()
-	var executed1 atomic.Int64
-	blocked := make(chan struct{})
-	var once sync.Once
-	svc1 := open(t, dir, func(ctx context.Context, s JobSpec, p Point, reg *metrics.Registry) (wafer.Result, error) {
-		if executed1.Add(1) > allowBeforeKill {
-			once.Do(func() { close(blocked) })
-			<-ctx.Done()
-			return wafer.Result{}, ctx.Err()
-		}
-		return fakeRun(ctx, s, p, reg)
-	})
-	if _, _, err := svc1.Submit(spec); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-blocked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("run function never reached the gate")
-	}
-	svc1.Close()
+	interruptSweep(t, dir, spec, allowBeforeKill)
 
 	// Corrupt one journaled run's object while the daemon is down.
 	js, err := readJournal(journalPath(jobDir(dir, spec.ID())))
@@ -653,6 +642,99 @@ func TestResumeRerunsCorruptRunObject(t *testing.T) {
 	}
 	if _, err := svc2.Store().Get(digest); err != nil {
 		t.Errorf("re-executed run object not restored: %v", err)
+	}
+}
+
+// A kill can leave a torn final journal line. Resume must trim it before
+// appending, so every entry written after the restart replays and no line
+// counts as corrupt.
+func TestResumeAfterTornJournalTail(t *testing.T) {
+	spec := sweepSpec()
+	dir := t.TempDir()
+	interruptSweep(t, dir, spec, 2)
+	path := journalPath(jobDir(dir, spec.ID()))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"t":"run","i":7,"dig`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	svc2 := open(t, dir, nil)
+	j, ok := svc2.Get(spec.ID())
+	if !ok {
+		t.Fatal("recovered service lost the job")
+	}
+	waitState(t, j, StateDone)
+	svc2.Close()
+
+	js, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.terminal != evDone || len(js.completed) != len(spec.Points()) {
+		t.Errorf("journal replays terminal %q and %d of %d runs", js.terminal, len(js.completed), len(spec.Points()))
+	}
+	svc3 := open(t, dir, nil)
+	defer svc3.Close()
+	if v := svc3.Registry().Counter("service.journal_corrupt_lines").Value(); v != 0 {
+		t.Errorf("journal_corrupt_lines = %d, want 0", v)
+	}
+}
+
+// trimTornTail drops a newline-less fragment, terminates a complete entry
+// that only lost its newline, and leaves a whole journal alone.
+func TestTrimTornTail(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"{\"t\":\"accepted\"}\n{\"t\":\"run\",\"i\":7,\"dig", "{\"t\":\"accepted\"}\n"},
+		{"{\"t\":\"run\",\"i\":7", ""},
+		{"{\"t\":\"accepted\"}\n{\"t\":\"run\"}", "{\"t\":\"accepted\"}\n{\"t\":\"run\"}\n"},
+		{"{\"t\":\"accepted\"}\n", "{\"t\":\"accepted\"}\n"},
+	} {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := trimTornTail(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != tc.want {
+			t.Errorf("trimTornTail(%q) left %q, want %q", tc.in, got, tc.want)
+		}
+	}
+	if err := trimTornTail(filepath.Join(t.TempDir(), "missing")); err != nil {
+		t.Errorf("missing journal: %v", err)
+	}
+}
+
+// An unparseable line in the middle of a journal is skipped and counted;
+// the job still recovers and completes.
+func TestRecoverCountsCorruptJournalLine(t *testing.T) {
+	spec := sweepSpec()
+	dir := t.TempDir()
+	interruptSweep(t, dir, spec, 2)
+	path := journalPath(jobDir(dir, spec.ID()))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.IndexByte(data, '\n') + 1 // after the accepted entry
+	data = append(data[:first:first], append([]byte("not json\n"), data[first:]...)...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := open(t, dir, nil)
+	defer svc2.Close()
+	j, ok := svc2.Get(spec.ID())
+	if !ok {
+		t.Fatal("recovered service lost the job")
+	}
+	waitState(t, j, StateDone)
+	if v := svc2.Registry().Counter("service.journal_corrupt_lines").Value(); v != 1 {
+		t.Errorf("journal_corrupt_lines = %d, want 1", v)
 	}
 }
 

@@ -77,7 +77,7 @@ func (tl *timeline) us(t time.Time) uint64 {
 // completed so far.
 func (tl *timeline) render() []byte {
 	var buf bytes.Buffer
-	t := trace.New(&buf, trace.Chrome)
+	t := trace.New(&buf)
 	tl.mu.Lock()
 	events := append([]tlEvent(nil), tl.events...)
 	tl.mu.Unlock()

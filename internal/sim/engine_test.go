@@ -218,12 +218,6 @@ func TestLine(t *testing.T) {
 	if s != 15 || e != 20 {
 		t.Fatalf("second occupy %d-%d, want 15-20", s, e)
 	}
-	if b := l.Backlog(16); b != 4 {
-		t.Fatalf("Backlog(16) = %d, want 4", b)
-	}
-	if b := l.Backlog(30); b != 0 {
-		t.Fatalf("Backlog(30) = %d, want 0", b)
-	}
 	if l.BusyCycles != 10 {
 		t.Fatalf("BusyCycles = %d, want 10", l.BusyCycles)
 	}

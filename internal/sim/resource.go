@@ -21,9 +21,6 @@ func NewPool(k int) *Pool {
 	return &Pool{free: make([]VTime, k)}
 }
 
-// Servers returns the number of servers in the pool.
-func (p *Pool) Servers() int { return len(p.free) }
-
 // Acquire books the earliest-available server for a job arriving at `now`
 // requiring `service` cycles, and returns the start time of service
 // (>= now). The server is marked busy until start+service.
@@ -40,17 +37,6 @@ func (p *Pool) Acquire(now VTime, service VTime) (start VTime) {
 	}
 	p.free[best] = start + service
 	return start
-}
-
-// NextFree returns the earliest time at which any server is free.
-func (p *Pool) NextFree() VTime {
-	best := p.free[0]
-	for _, t := range p.free[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	return best
 }
 
 // Busy reports how many servers are busy at time now.
@@ -85,16 +71,4 @@ func (l *Line) Occupy(now VTime, hold VTime) (start, end VTime) {
 	l.nextFree = end
 	l.BusyCycles += hold
 	return start, end
-}
-
-// FreeAt returns the time at which the line next becomes free.
-func (l *Line) FreeAt() VTime { return l.nextFree }
-
-// Backlog returns how many cycles of work are queued ahead of a job arriving
-// at now (zero if the line is idle).
-func (l *Line) Backlog(now VTime) VTime {
-	if l.nextFree <= now {
-		return 0
-	}
-	return l.nextFree - now
 }

@@ -40,19 +40,6 @@ func TestAMGM(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if Percentile(xs, 50) != 3 {
-		t.Errorf("p50 = %f", Percentile(xs, 50))
-	}
-	if Percentile(xs, 100) != 5 {
-		t.Errorf("p100 = %f", Percentile(xs, 100))
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
 	h.Add(0)
@@ -106,12 +93,6 @@ func TestTimeSeriesModes(t *testing.T) {
 	max.Record(20, 3)
 	if max.Values()[0] != 5 {
 		t.Errorf("max series %v", max.Values())
-	}
-	mean := NewMeanSeries(100)
-	mean.Record(10, 4)
-	mean.Record(20, 6)
-	if mean.Values()[0] != 5 {
-		t.Errorf("mean series %v", mean.Values())
 	}
 	if sum.Peak() != 2 {
 		t.Errorf("Peak = %f", sum.Peak())

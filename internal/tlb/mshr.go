@@ -77,6 +77,3 @@ func (m *MSHR) Complete(k Key, pte vm.PTE, found bool) {
 		w.Fill(pte, found)
 	}
 }
-
-// Waiters returns how many fillers (primary + merged) wait on k.
-func (m *MSHR) Waiters(k Key) int { return len(m.pending[k]) }

@@ -192,9 +192,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(tot)
 }
 
-// Lookups returns the total probe count (hits + misses).
-func (s Stats) Lookups() uint64 { return s.Hits + s.Misses }
-
 // Add accumulates o into s, aggregating many TLB instances of one level
 // (e.g. the per-CU L1 TLBs of a GPM) into a single Stats.
 func (s *Stats) Add(o Stats) {

@@ -1,7 +1,7 @@
 // Package trace is the cycle-domain event tracer: typed spans (IOMMU walks,
-// queue residency, NoC hops, request lifecycles) emitted as either a compact
-// JSONL stream or Chrome trace_event JSON loadable in chrome://tracing /
-// Perfetto. Timestamps are simulated cycles, not wall time.
+// queue residency, NoC hops, request lifecycles) emitted as Chrome
+// trace_event JSON loadable in chrome://tracing / Perfetto. Timestamps are
+// simulated cycles, not wall time.
 //
 // A nil *Tracer is a valid, disabled tracer: every method is a no-op, so an
 // instrumented component pays exactly one branch when tracing is off.
@@ -25,16 +25,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-)
-
-// Format selects the output encoding.
-type Format int
-
-const (
-	// JSONL emits one self-contained JSON object per line.
-	JSONL Format = iota
-	// Chrome emits a trace_event JSON array for chrome://tracing / Perfetto.
-	Chrome
 )
 
 // KV is one numeric span attribute. Attributes are numeric only so emission
@@ -71,7 +61,6 @@ type Sink interface {
 type state struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
-	format Format
 	events atomic.Uint64
 	opened bool
 	closed bool
@@ -85,11 +74,11 @@ type Tracer struct {
 	sink Sink
 }
 
-// New creates a tracer writing to w in the given format. Call Close when the
-// run (or batch) finishes to flush buffered events and, for Chrome, to
-// terminate the JSON array.
-func New(w io.Writer, format Format) *Tracer {
-	return &Tracer{st: &state{w: bufio.NewWriterSize(w, 1<<16), format: format}}
+// New creates a tracer writing Chrome trace_event JSON to w. Call Close when
+// the run (or batch) finishes to flush buffered events and terminate the
+// JSON array.
+func New(w io.Writer) *Tracer {
+	return &Tracer{st: &state{w: bufio.NewWriterSize(w, 1<<16)}}
 }
 
 // Attach returns a tracer that forwards typed spans to sink in addition to
@@ -165,12 +154,10 @@ func (t *Tracer) Close() error {
 		return st.err
 	}
 	st.closed = true
-	if st.format == Chrome {
-		if !st.opened {
-			st.w.WriteString("[")
-		}
-		st.w.WriteString("\n]\n")
+	if !st.opened {
+		st.w.WriteString("[")
 	}
+	st.w.WriteString("\n]\n")
 	if err := st.w.Flush(); err != nil && st.err == nil {
 		st.err = err
 	}
@@ -193,42 +180,27 @@ func (t *Tracer) emit(tid, name string, ts uint64, dur int64, kv []KV) {
 		return
 	}
 	w := st.w
-	switch st.format {
-	case Chrome:
-		if !st.opened {
-			w.WriteString("[")
-			st.opened = true
-		} else {
+	if !st.opened {
+		w.WriteString("[")
+		st.opened = true
+	} else {
+		w.WriteString(",")
+	}
+	if dur >= 0 {
+		fmt.Fprintf(w, "\n{\"ph\":\"X\",\"pid\":%d,\"tid\":%q,\"cat\":%q,\"name\":%q,\"ts\":%d,\"dur\":%d",
+			t.pid, tid, tid, name, ts, dur)
+	} else {
+		fmt.Fprintf(w, "\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%q,\"cat\":%q,\"name\":%q,\"ts\":%d",
+			t.pid, tid, tid, name, ts)
+	}
+	w.WriteString(",\"args\":{")
+	for i, a := range kv {
+		if i > 0 {
 			w.WriteString(",")
 		}
-		if dur >= 0 {
-			fmt.Fprintf(w, "\n{\"ph\":\"X\",\"pid\":%d,\"tid\":%q,\"cat\":%q,\"name\":%q,\"ts\":%d,\"dur\":%d",
-				t.pid, tid, tid, name, ts, dur)
-		} else {
-			fmt.Fprintf(w, "\n{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%q,\"cat\":%q,\"name\":%q,\"ts\":%d",
-				t.pid, tid, tid, name, ts)
-		}
-		w.WriteString(",\"args\":{")
-		for i, a := range kv {
-			if i > 0 {
-				w.WriteString(",")
-			}
-			fmt.Fprintf(w, "%q:%d", a.K, a.V)
-		}
-		w.WriteString("}}")
-	default: // JSONL
-		fmt.Fprintf(w, "{\"ts\":%d,\"tid\":%q,\"ev\":%q", ts, tid, name)
-		if t.pid != 0 {
-			fmt.Fprintf(w, ",\"run\":%d", t.pid)
-		}
-		if dur >= 0 {
-			fmt.Fprintf(w, ",\"dur\":%d", dur)
-		}
-		for _, a := range kv {
-			fmt.Fprintf(w, ",%q:%d", a.K, a.V)
-		}
-		w.WriteString("}\n")
+		fmt.Fprintf(w, "%q:%d", a.K, a.V)
 	}
+	w.WriteString("}}")
 }
 
 // Span records a completed [start, end] interval on the named component

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -27,56 +26,16 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 }
 
-func TestJSONLFormat(t *testing.T) {
-	var buf bytes.Buffer
-	tr := New(&buf, JSONL)
-	tr.WalkSpan(100, 600, 7, 0x42)
-	tr.Instant("noc", "drop", 50, KV{"bytes", 64})
-	tr.Run(3).HopSpan(10, 42, 0, 1, 1, 1, 32, false)
-	if tr.Events() != 3 {
-		t.Errorf("events = %d", tr.Events())
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines:\n%s", len(lines), buf.String())
-	}
-	var walk map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &walk); err != nil {
-		t.Fatalf("line 0: %v", err)
-	}
-	if walk["ev"] != "walk" || walk["ts"] != float64(100) || walk["dur"] != float64(500) ||
-		walk["vpn"] != float64(0x42) {
-		t.Errorf("walk event = %v", walk)
-	}
-	if _, hasRun := walk["run"]; hasRun {
-		t.Error("run 0 events must omit the run tag")
-	}
-	var inst map[string]any
-	if err := json.Unmarshal([]byte(lines[1]), &inst); err != nil {
-		t.Fatalf("line 1: %v", err)
-	}
-	if _, hasDur := inst["dur"]; hasDur {
-		t.Error("instant events must omit dur")
-	}
-	var hop map[string]any
-	if err := json.Unmarshal([]byte(lines[2]), &hop); err != nil {
-		t.Fatalf("line 2: %v", err)
-	}
-	if hop["run"] != float64(3) {
-		t.Errorf("child-run event missing run tag: %v", hop)
-	}
-}
-
 func TestChromeFormatIsValidJSON(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(&buf, Chrome)
+	tr := New(&buf)
 	tr.WalkSpan(0, 10, 1, 2)
 	tr.Run(2).QueueSpan("iommu.pwq", 5, 9, 1)
 	tr.HopSpan(0, 50, 0, 0, 3, 0, 9, false)
+	tr.Instant("noc", "drop", 50, KV{"bytes", 64})
+	if tr.Events() != 4 {
+		t.Errorf("events = %d", tr.Events())
+	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +43,7 @@ func TestChromeFormatIsValidJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("Chrome output is not a JSON array: %v\n%s", err, buf.String())
 	}
-	if len(events) != 3 {
+	if len(events) != 4 {
 		t.Fatalf("got %d events", len(events))
 	}
 	if events[0]["ph"] != "X" || events[0]["name"] != "walk" || events[0]["dur"] != float64(10) {
@@ -97,11 +56,14 @@ func TestChromeFormatIsValidJSON(t *testing.T) {
 	if !ok || args["bytes"] != float64(9) || args["tx"] != float64(3) {
 		t.Errorf("hop args = %v", events[2]["args"])
 	}
+	if _, hasDur := events[3]["dur"]; hasDur || events[3]["ph"] != "i" {
+		t.Errorf("instant event = %v", events[3])
+	}
 }
 
 func TestChromeEmptyTraceIsValidJSON(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(&buf, Chrome)
+	tr := New(&buf)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +78,7 @@ func TestChromeEmptyTraceIsValidJSON(t *testing.T) {
 
 func TestEmitAfterCloseDropped(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(&buf, JSONL)
+	tr := New(&buf)
 	tr.Span("a", "b", 0, 1)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -156,7 +118,7 @@ func (s *recordingSink) OnHop(start, end uint64, fx, fy, tx, ty, size int, defle
 func TestSinkReceivesTypedSpans(t *testing.T) {
 	var buf bytes.Buffer
 	var sink recordingSink
-	tr := Attach(New(&buf, JSONL), &sink)
+	tr := Attach(New(&buf), &sink)
 	tr.WalkSpan(0, 10, 1, 2)
 	tr.QueueSpan("iommu.pwq", 0, 5, 1)
 	tr.HopSpan(0, 32, 0, 0, 1, 0, 64, false)
@@ -170,8 +132,9 @@ func TestSinkReceivesTypedSpans(t *testing.T) {
 	if sink.lastStage != "iommu.pwq" || sink.lastSource != 3 {
 		t.Errorf("sink payloads = %+v", sink)
 	}
-	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 4 {
-		t.Errorf("stream got %d lines, want 4", got)
+	var events []any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil || len(events) != 4 {
+		t.Errorf("stream got %d events (%v), want 4", len(events), err)
 	}
 }
 
@@ -199,7 +162,7 @@ func TestSinkOnlyTracer(t *testing.T) {
 // TestEventsConcurrent: Events() may race with emission from batch workers —
 // the counter must be clean under the race detector.
 func TestEventsConcurrent(t *testing.T) {
-	tr := New(&bytes.Buffer{}, JSONL)
+	tr := New(&bytes.Buffer{})
 	const workers, perWorker = 4, 250
 	var emitters sync.WaitGroup
 	stop := make(chan struct{})
@@ -240,9 +203,9 @@ func TestEventsConcurrent(t *testing.T) {
 // TestByteDeterminism: the same span sequence produces identical bytes —
 // the property the wafer-level determinism test builds on.
 func TestByteDeterminism(t *testing.T) {
-	emitAll := func(format Format) []byte {
+	emitAll := func() []byte {
 		var buf bytes.Buffer
-		tr := New(&buf, format)
+		tr := New(&buf)
 		for i := uint64(0); i < 100; i++ {
 			tr.WalkSpan(i*10, i*10+7, i, i<<12)
 			tr.Run(int(i%4)).HopSpan(i, i+32, 0, 0, 1, 0, 64, false)
@@ -250,10 +213,8 @@ func TestByteDeterminism(t *testing.T) {
 		tr.Close()
 		return buf.Bytes()
 	}
-	for _, f := range []Format{JSONL, Chrome} {
-		if !bytes.Equal(emitAll(f), emitAll(f)) {
-			t.Errorf("format %v output not deterministic", f)
-		}
+	if !bytes.Equal(emitAll(), emitAll()) {
+		t.Error("output not deterministic")
 	}
 }
 

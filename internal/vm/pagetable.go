@@ -31,9 +31,6 @@ func NewPageTable() *PageTable {
 	return &PageTable{root: &node{}, levels: 5}
 }
 
-// Levels returns the number of radix levels a walk traverses.
-func (t *PageTable) Levels() int { return t.levels }
-
 // Len returns the number of valid mappings.
 func (t *PageTable) Len() int { return t.size }
 

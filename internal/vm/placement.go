@@ -137,12 +137,3 @@ func (p *Placement) OwnerOf(v VPN) (int, bool) {
 	}
 	return 0, false
 }
-
-// TotalPages returns the number of pages mapped across all regions.
-func (p *Placement) TotalPages() int {
-	n := 0
-	for _, r := range p.regions {
-		n += r.Pages
-	}
-	return n
-}

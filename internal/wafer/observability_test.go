@@ -122,7 +122,7 @@ func TestDeterminismWithObservability(t *testing.T) {
 	plain := runWith(t, "hdpat", 24, nil, nil)
 
 	var buf bytes.Buffer
-	tr := trace.New(&buf, trace.JSONL)
+	tr := trace.New(&buf)
 	observed := runWith(t, "hdpat", 24, metrics.NewRegistry(), tr)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestDeterminismWithObservability(t *testing.T) {
 
 	// And the trace itself is deterministic: run again, compare bytes.
 	var buf2 bytes.Buffer
-	tr2 := trace.New(&buf2, trace.JSONL)
+	tr2 := trace.New(&buf2)
 	runWith(t, "hdpat", 24, metrics.NewRegistry(), tr2)
 	if err := tr2.Close(); err != nil {
 		t.Fatal(err)
@@ -145,14 +145,9 @@ func TestDeterminismWithObservability(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("identical runs produced different traces")
 	}
-	// Every line is a self-contained JSON object.
-	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("trace line %d invalid: %v", i, err)
-		}
-		if i > 100 {
-			break
-		}
+	// The stream is one valid Chrome trace_event array.
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
 	}
 }

@@ -84,14 +84,9 @@ type Options struct {
 	// OpsBudget is the approximate per-CU operation count (default 96).
 	OpsBudget int
 	Seed      int64
-	// MaxCycles aborts runaway simulations (default 200M cycles).
-	MaxCycles sim.VTime
 	// QueueWindow, when nonzero, attaches a max-depth IOMMU queue series
 	// with this window (Fig 4).
 	QueueWindow uint64
-	// ServedWindow, when nonzero, attaches a count series of IOMMU-arriving
-	// requests with this window (Fig 13).
-	ServedWindow uint64
 	// Hooks see every request arriving at the IOMMU, in order
 	// (characterisation figures attach trackers). Replaces the former
 	// single-callback Observer field.
@@ -136,8 +131,7 @@ type Result struct {
 	IOMMU iommu.Stats
 	NoC   noc.Stats
 
-	QueueSeries  *stats.TimeSeries
-	ServedSeries *stats.TimeSeries
+	QueueSeries *stats.TimeSeries
 
 	TotalOps uint64
 
@@ -245,6 +239,10 @@ func Run(cfg config.System, opts Options) (Result, error) {
 // short runs; large enough that the per-check cost vanishes in the noise.
 const ctxCheckInterval = 1 << 16
 
+// maxCycles aborts runaway simulations: a run whose GPMs have not all
+// finished by this cycle fails with a cycle-limit error.
+const maxCycles sim.VTime = 200_000_000
+
 // runEngine executes events with time <= limit, checking ctx between
 // slices of at most ctxCheckInterval cycles. Slicing does not perturb event
 // order, so results are identical to a single RunUntil(limit) call.
@@ -287,9 +285,6 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	cfg = cfg.ApplyScale()
 	if opts.OpsBudget <= 0 {
 		opts.OpsBudget = 96
-	}
-	if opts.MaxCycles == 0 {
-		opts.MaxCycles = 200_000_000
 	}
 	if opts.Scheme == "" {
 		opts.Scheme = "baseline"
@@ -361,20 +356,17 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	io := iommu.New(eng, cfg.IOMMU, mesh.CPU, network, placement.Global())
 	io.GPMCoord = func(id int) geom.Coord { return gpms[id].Coord }
 	io.Trace = tr
-	if coll != nil {
-		coll.Probes(io.QueueDepth, io.WalkersBusy, func(v attr.LinkVisitor) {
-			network.VisitLinks(func(c geom.Coord, dir string, busy sim.VTime) {
-				v(c.X, c.Y, dir, uint64(busy))
-			})
+	visitLinks := func(v attr.LinkVisitor) {
+		network.VisitLinks(func(c geom.Coord, dir string, busy sim.VTime) {
+			v(c.X, c.Y, dir, uint64(busy))
 		})
+	}
+	if coll != nil {
+		coll.Probes(io.QueueDepth, io.WalkersBusy, visitLinks)
 	}
 	if chk != nil {
 		io.AddHook(chk)
-		chk.Probes(func(v check.LinkVisitor) {
-			network.VisitLinks(func(c geom.Coord, dir string, busy sim.VTime) {
-				v(c.X, c.Y, dir, uint64(busy))
-			})
-		})
+		chk.Probes(visitLinks)
 	}
 	if coll != nil || chk != nil {
 		// Periodic sampler: queue-depth, walker-occupancy and link-busy
@@ -398,15 +390,6 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	}
 	if opts.QueueWindow > 0 {
 		io.QueueSeries = stats.NewMaxSeries(opts.QueueWindow)
-	}
-	var served *stats.TimeSeries
-	if opts.ServedWindow > 0 {
-		served = stats.NewCountSeries(opts.ServedWindow)
-	}
-	if served != nil {
-		io.AddHook(iommu.RequestHookFunc(func(now sim.VTime, req *xlat.Request) {
-			served.Record(uint64(now), 1)
-		}))
 	}
 	for _, h := range opts.Hooks {
 		io.AddHook(h)
@@ -460,13 +443,13 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 		g.Start(sim.VTime(opts.Benchmark.Gap), func(int, sim.VTime) { finished++ })
 	}
 
-	if err := runEngine(ctx, eng, opts.MaxCycles); err != nil {
+	if err := runEngine(ctx, eng, maxCycles); err != nil {
 		return Result{}, err
 	}
 	var runErr error
 	if finished < numGPMs {
 		runErr = fmt.Errorf("wafer: %s/%s finished %d/%d GPMs by cycle limit %d",
-			opts.Scheme, opts.Benchmark.Abbr, finished, numGPMs, opts.MaxCycles)
+			opts.Scheme, opts.Benchmark.Abbr, finished, numGPMs, maxCycles)
 	} else {
 		// Drain stragglers (late miss responses etc.) for accurate NoC stats.
 		if err := runEngine(ctx, eng, sim.Infinity); err != nil {
@@ -477,9 +460,9 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	res := Result{
 		Scheme: scheme.Name(), Benchmark: opts.Benchmark.Abbr,
 		IOMMU: io.Stats, NoC: network.Stats,
-		QueueSeries: io.QueueSeries, ServedSeries: served,
-		TotalOps: totalOps,
-		Events:   eng.Processed,
+		QueueSeries: io.QueueSeries,
+		TotalOps:    totalOps,
+		Events:      eng.Processed,
 	}
 	// Structure-of-arrays assembly at exact capacity: one allocation per
 	// parallel column, no append growth — at 900+ GPMs the growth slack of

@@ -2,7 +2,7 @@ package workload
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 
 	"hdpat/internal/stats"
@@ -308,60 +308,37 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := WriteTrace(&buf, b, 16, numGPMs, numCUs, budget, vm.Page4K, 9); err != nil {
 		t.Fatal(err)
 	}
-	specs := b.Regions(16, numGPMs, vm.Page4K)
-	replay, err := ReadTrace(bytes.NewReader(buf.Bytes()), "KM-replay", b.Gap, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the original traces and compare against the replay built on an
-	// identical placement.
+	// Rebuild the original traces on an identical placement and compare
+	// each decoded record against them, in write order.
 	p := vm.NewPlacement(numGPMs, vm.Page4K)
 	regions := map[string]vm.Region{}
-	for _, rs := range specs {
+	for _, rs := range b.Regions(16, numGPMs, vm.Page4K) {
 		regions[rs.Name] = p.Alloc(rs.Name, rs.Pages, 0)
 	}
+	dec := json.NewDecoder(&buf)
 	for g := 0; g < numGPMs; g++ {
 		for cu := 0; cu < numCUs; cu++ {
-			ctx := Context{Regions: regions, PageSize: vm.Page4K,
+			var rec TraceRecord
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatalf("gpm %d cu %d: %v", g, cu, err)
+			}
+			if rec.GPM != g || rec.CU != cu {
+				t.Fatalf("record (%d,%d), want (%d,%d)", rec.GPM, rec.CU, g, cu)
+			}
+			want := b.Trace(Context{Regions: regions, PageSize: vm.Page4K,
 				GPM: g, NumGPMs: numGPMs, CU: cu, NumCUs: numCUs,
-				OpsBudget: budget, Seed: 9}
-			want := b.Trace(ctx)
-			got := replay.Trace(ctx)
-			if len(got) != len(want) {
-				t.Fatalf("gpm %d cu %d: replay %d ops, want %d", g, cu, len(got), len(want))
+				OpsBudget: budget, Seed: 9})
+			if len(rec.Addrs) != len(want) {
+				t.Fatalf("gpm %d cu %d: record %d ops, want %d", g, cu, len(rec.Addrs), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("gpm %d cu %d op %d: %#x != %#x", g, cu, i, got[i], want[i])
+				if vm.VAddr(rec.Addrs[i]) != want[i] {
+					t.Fatalf("gpm %d cu %d op %d: %#x != %#x", g, cu, i, rec.Addrs[i], want[i])
 				}
 			}
 		}
 	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader(""), "X", 4, nil); err == nil {
-		t.Error("empty trace accepted")
-	}
-	if _, err := ReadTrace(strings.NewReader("{bad json"), "X", 4, nil); err == nil {
-		t.Error("bad json accepted")
-	}
-	if _, err := FromTraceRecords("X", 4, nil, []TraceRecord{{GPM: -1}}); err == nil {
-		t.Error("negative gpm accepted")
-	}
-}
-
-func TestFromTraceRecordsDropsOutOfRange(t *testing.T) {
-	specs := []RegionSpec{{Name: "r", Pages: 48}}
-	recs := []TraceRecord{{GPM: 0, CU: 0, Addrs: []uint64{4096, 1 << 50}}}
-	b, err := FromTraceRecords("X", 4, specs, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := vm.NewPlacement(48, vm.Page4K)
-	regions := map[string]vm.Region{"r": p.Alloc("r", 48, 0)}
-	tr := b.Trace(Context{Regions: regions, PageSize: vm.Page4K, GPM: 0, NumGPMs: 48, CU: 0, NumCUs: 1, OpsBudget: 8})
-	if len(tr) != 1 {
-		t.Fatalf("replay kept %d addrs, want 1 (out-of-range dropped)", len(tr))
+	if dec.More() {
+		t.Error("trailing records after the last CU")
 	}
 }

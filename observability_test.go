@@ -8,7 +8,6 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hdpat"
@@ -39,23 +38,6 @@ func TestSimulateWithMetrics(t *testing.T) {
 	}
 	if res.Metrics.Counter("noc.messages") == 0 {
 		t.Error("no NoC series")
-	}
-}
-
-func TestSimulateWithTraceJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	_, err := hdpat.Simulate(obsConfig(), hdpat.RunSpec{Scheme: "baseline", Benchmark: "SPMV"},
-		hdpat.WithOpsBudget(8), hdpat.WithSeed(1), hdpat.WithTraceJSONL(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("no trace output")
-	}
-	var obj map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &obj); err != nil {
-		t.Fatalf("first trace line invalid: %v", err)
 	}
 }
 
@@ -108,7 +90,7 @@ func TestRunBatchMetricsMerge(t *testing.T) {
 }
 
 // TestRunBatchSharedTrace: batch runs share one trace stream with events
-// tagged by submission index.
+// tagged by submission index in the Chrome pid.
 func TestRunBatchSharedTrace(t *testing.T) {
 	var buf bytes.Buffer
 	specs := []hdpat.RunSpec{
@@ -117,12 +99,20 @@ func TestRunBatchSharedTrace(t *testing.T) {
 	}
 	_, err := hdpat.RunBatch(context.Background(), obsConfig(), specs,
 		hdpat.WithOpsBudget(8), hdpat.WithSeed(1), hdpat.WithWorkers(2),
-		hdpat.WithTraceJSONL(&buf))
+		hdpat.WithTrace(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"run":1`) {
-		t.Error("no events tagged with run 1")
+	var events []struct{ Pid int }
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("batch trace is not valid JSON: %v", err)
+	}
+	perPid := map[int]int{}
+	for _, e := range events {
+		perPid[e.Pid]++
+	}
+	if len(perPid) != len(specs) || perPid[0] == 0 || perPid[1] == 0 {
+		t.Errorf("events per pid = %v, want both batch indices", perPid)
 	}
 }
 
@@ -171,7 +161,7 @@ func TestPublicDeterminismWithObservability(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	observed, err := hdpat.Simulate(obsConfig(), spec, hdpat.WithOpsBudget(16), hdpat.WithSeed(7),
-		hdpat.WithMetrics(hdpat.NewMetricsRegistry()), hdpat.WithTraceJSONL(&buf))
+		hdpat.WithMetrics(hdpat.NewMetricsRegistry()), hdpat.WithTrace(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

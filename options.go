@@ -2,10 +2,8 @@ package hdpat
 
 import (
 	"io"
-	"sync/atomic"
 
 	"hdpat/internal/metrics"
-	"hdpat/internal/runner"
 	"hdpat/internal/trace"
 )
 
@@ -21,18 +19,14 @@ type runConfig struct {
 	tweakIOMMU []func(*IOMMUConfig)
 	opsBudget  *int
 	seed       *int64
-	maxCycles  uint64
 	workers    int
 	routing    string
-	progress   func(done, total int)
-	monitor    *BatchMonitor
 	perRun     func(i int) []Option
 
 	metrics     *metrics.Registry
 	attribution bool
 	invariants  bool
 	traceW      io.Writer
-	traceFormat trace.Format
 	// tracer, when set, overrides traceW with a pre-built (batch child)
 	// tracer; internal — batch entry points install it per run.
 	tracer *trace.Tracer
@@ -98,12 +92,6 @@ func WithSeed(seed int64) Option {
 	return func(rc *runConfig) { rc.seed = &seed }
 }
 
-// WithMaxCycles overrides the runaway-simulation cycle limit
-// (0 = the 200M-cycle default).
-func WithMaxCycles(cycles uint64) Option {
-	return func(rc *runConfig) { rc.maxCycles = cycles }
-}
-
 // WithWorkers bounds the number of simulations RunBatch and CompareAll run
 // concurrently (<= 0 means GOMAXPROCS; 1 forces serial execution).
 // Single-run calls ignore it.
@@ -118,47 +106,6 @@ func WithWorkers(n int) Option {
 // with a typed config validation error before the run starts.
 func WithRouting(name string) Option {
 	return func(rc *runConfig) { rc.routing = name }
-}
-
-// WithProgress registers a callback invoked after each run of a batch
-// settles, with the number settled so far and the batch size. Calls are
-// serialised and arrive from worker goroutines. Single-run calls ignore it.
-func WithProgress(f func(done, total int)) Option {
-	return func(rc *runConfig) { rc.progress = f }
-}
-
-// BatchSnapshot is a point-in-time view of a batch's task accounting: how
-// many runs are waiting for a worker, executing right now, and settled.
-// Counts are cumulative across every batch the monitored call executes.
-type BatchSnapshot = runner.Snapshot
-
-// BatchMonitor observes a batch from outside its goroutines: attach one
-// with WithMonitor and poll Snapshot from any goroutine — a progress
-// endpoint, a TUI ticker — while RunBatch or CompareAll executes. Unlike
-// WithProgress, which pushes one callback per settled run, a monitor is
-// pull-based and also distinguishes queued from in-flight runs. The zero
-// value is ready to use; before the batch starts (and after a call that
-// never attached it) Snapshot returns the zero BatchSnapshot.
-type BatchMonitor struct {
-	pool atomic.Pointer[runner.Pool]
-}
-
-// Snapshot reports the monitored batch's current task accounting. Safe to
-// call concurrently with the batch; see BatchSnapshot for field semantics.
-func (m *BatchMonitor) Snapshot() BatchSnapshot {
-	if p := m.pool.Load(); p != nil {
-		return p.Snapshot()
-	}
-	return BatchSnapshot{}
-}
-
-// WithMonitor attaches m to the call's batch engine so its Snapshot
-// reflects the live queued/inflight/done counts. Batch entry points
-// (RunBatch, CompareAll) install it when the batch starts; single-run calls
-// ignore it. Reusing one monitor across sequential calls re-points it at
-// each new batch; passing nil disables monitoring.
-func WithMonitor(m *BatchMonitor) Option {
-	return func(rc *runConfig) { rc.monitor = m }
 }
 
 // WithMetrics has every component of the simulated system report into reg:
@@ -215,14 +162,7 @@ func WithInvariants() Option {
 // is flushed and terminated when the call returns. Passing nil disables
 // tracing.
 func WithTrace(w io.Writer) Option {
-	return func(rc *runConfig) { rc.traceW = w; rc.traceFormat = trace.Chrome }
-}
-
-// WithTraceJSONL is WithTrace emitting one compact self-contained JSON
-// object per line instead of a Chrome trace array — the format to pick for
-// programmatic consumption (grep, jq, stream processing).
-func WithTraceJSONL(w io.Writer) Option {
-	return func(rc *runConfig) { rc.traceW = w; rc.traceFormat = trace.JSONL }
+	return func(rc *runConfig) { rc.traceW = w }
 }
 
 // WithPerRun supplies extra options for individual runs of a batch: f is

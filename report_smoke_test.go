@@ -1,6 +1,6 @@
 // Smoke test for cmd/report: build the binary, exercise the live Compare
-// mode and the JSONL replay mode, and check the acceptance artifacts — a
-// Markdown latency-breakdown table and a per-link NoC heatmap CSV.
+// mode, and check the acceptance artifacts — a Markdown latency-breakdown
+// table and a per-link NoC heatmap CSV.
 package hdpat_test
 
 import (
@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"hdpat"
 )
 
 func TestReportSmoke(t *testing.T) {
@@ -47,39 +45,6 @@ func TestReportSmoke(t *testing.T) {
 			if len(lines) < 2 || !strings.HasPrefix(lines[0], "x,y,dir,") {
 				t.Errorf("%s is not a populated heatmap:\n%s", name, csv)
 			}
-		}
-	})
-
-	t.Run("replay", func(t *testing.T) {
-		// Record a JSONL trace with the public API, then rebuild the
-		// breakdown from it offline.
-		tracePath := filepath.Join(t.TempDir(), "run.jsonl")
-		f, err := os.Create(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = hdpat.Simulate(obsConfig(), hdpat.RunSpec{Scheme: "hdpat", Benchmark: "SPMV"},
-			hdpat.WithOpsBudget(8), hdpat.WithSeed(1), hdpat.WithTraceJSONL(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		dir := t.TempDir()
-		cmd := exec.Command(bin, "-trace", tracePath, "-o", dir)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("replay run failed: %v\n%s", err, out)
-		}
-		md, err := os.ReadFile(filepath.Join(dir, "report.md"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(md), "| total |") {
-			t.Errorf("replay report missing stage table:\n%s", md)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "heatmap.csv")); err != nil {
-			t.Error(err)
 		}
 	})
 }
